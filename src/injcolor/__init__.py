@@ -46,7 +46,6 @@ from .hypergraphs import (
 from .injective import (
     FamilyTooWeakError,
     InvalidColoringError,
-    PartialEdgeColoring,
     RoundLimitExceededError,
     color_arcs_deterministic,
     color_arcs_randomized,

@@ -36,7 +36,12 @@ from .oracles import (
     exact_injective_index,
     exact_oriented_number,
 )
-from .oriented import build_full_graph, verify_2dipath, verify_oriented_coloring
+from .oriented import (
+    build_full_graph,
+    oriented_from_injective,
+    verify_2dipath,
+    verify_oriented_coloring,
+)
 from .separating import build_separating_family
 
 EXIT_OK = 0
@@ -124,17 +129,11 @@ def _need_genus(args) -> int:
     return args.g
 
 
-def _undirected_from(text: str) -> UndirectedGraph:
+def _read_graph(text: str, kind: type) -> UndirectedGraph | OrientedGraph:
     graph = parse_graph(text)
-    if not isinstance(graph, UndirectedGraph):
-        raise ParseError("this command needs an undirected (p edge) graph")
-    return graph
-
-
-def _oriented_from(text: str) -> OrientedGraph:
-    graph = parse_graph(text)
-    if not isinstance(graph, OrientedGraph):
-        raise ParseError("this command needs an oriented (p arc) graph")
+    if not isinstance(graph, kind):
+        what = "an undirected (p edge)" if kind is UndirectedGraph else "an oriented (p arc)"
+        raise ParseError(f"this command needs {what} graph")
     return graph
 
 
@@ -163,6 +162,20 @@ def _coloring_report(coloring, report, valid: bool) -> dict:
     }
 
 
+# Genus command -> (graph type, report.checks key, pipeline).  The lambdas
+# look the pipelines up by module name at call time, so a wrapper installed
+# on this module's attributes (as the perfbench tracer does) sees the calls.
+_GENUS_COMMANDS = {
+    "inj-genus": (UndirectedGraph, "injective_valid",
+                  lambda graph, g, args: injective_color_genus(graph, g, args.seed)),
+    "oriented-genus": (OrientedGraph, "oriented_valid",
+                       lambda graph, g, args: oriented_color_genus(graph, g, args.seed)),
+    "oriented-2dipath": (OrientedGraph, "oriented_valid",
+                         lambda graph, g, args: oriented_color_genus_via_2dipath(
+                             graph, g, args.seed, allow_uncertified_full=args.unverified_full)),
+}
+
+
 def _dispatch(args, read_stdin: Callable[[], str]) -> tuple[int, dict | str]:
     cmd = args.command
     if cmd == "exact":
@@ -181,51 +194,35 @@ def _dispatch(args, read_stdin: Callable[[], str]) -> tuple[int, dict | str]:
         return EXIT_OK, {"param": args.param, "value": value}
 
     if cmd == "inj-degenerate":
-        graph = _undirected_from(read_stdin())
+        graph = _read_graph(read_stdin(), UndirectedGraph)
         coloring = injective_color_degenerate(graph, args.seed)
         valid = verify_injective(graph, coloring)
         out = _coloring_report(coloring, {"seed": args.seed}, valid)
         return (EXIT_OK if valid else EXIT_INVALID), out
 
-    if cmd == "inj-genus":
-        graph = _undirected_from(read_stdin())
-        coloring, report = injective_color_genus(graph, _need_genus(args), args.seed)
-        valid = report.checks["injective_valid"]
-        out = _coloring_report(coloring, report.to_dict(), valid)
-        return (EXIT_OK if valid else EXIT_INVALID), out
-
-    if cmd == "oriented-genus":
-        graph = _oriented_from(read_stdin())
-        coloring, report = oriented_color_genus(graph, _need_genus(args), args.seed)
-        valid = report.checks["oriented_valid"]
-        out = _coloring_report(coloring, report.to_dict(), valid)
-        return (EXIT_OK if valid else EXIT_INVALID), out
-
-    if cmd == "oriented-2dipath":
-        graph = _oriented_from(read_stdin())
-        coloring, report = oriented_color_genus_via_2dipath(
-            graph, _need_genus(args), args.seed,
-            allow_uncertified_full=args.unverified_full,
-        )
-        valid = report.checks["oriented_valid"]
+    if cmd in _GENUS_COMMANDS:
+        kind, check, pipeline = _GENUS_COMMANDS[cmd]
+        graph = _read_graph(read_stdin(), kind)
+        coloring, report = pipeline(graph, _need_genus(args), args)
+        valid = report.checks[check]
         out = _coloring_report(coloring, report.to_dict(), valid)
         return (EXIT_OK if valid else EXIT_INVALID), out
 
     if cmd == "oriented-from-inj":
-        from .oriented import oriented_from_injective
-
-        graph = _oriented_from(read_stdin())
+        graph = _read_graph(read_stdin(), OrientedGraph)
         with open(args.coloring, encoding="utf-8") as fh:
             edge_coloring = coloring_from_obj(json.load(fh))
         if not isinstance(edge_coloring, EdgeColoring):
             raise ParseError("--coloring must hold an edge coloring")
+        if not verify_injective(graph.underlying(), edge_coloring):
+            raise InvalidColoringError("edge coloring is not injective")
         coloring = oriented_from_injective(graph, edge_coloring)
         valid = verify_oriented_coloring(graph, coloring)
         out = _coloring_report(coloring, {"injective_colors": edge_coloring.k}, valid)
         return (EXIT_OK if valid else EXIT_INVALID), out
 
     if cmd == "subdivide":
-        graph = _undirected_from(read_stdin())
+        graph = _read_graph(read_stdin(), UndirectedGraph)
         return EXIT_OK, emit_graph(subdivide(graph))
 
     if cmd == "verify":
@@ -275,7 +272,7 @@ def _dispatch(args, read_stdin: Callable[[], str]) -> tuple[int, dict | str]:
 def _generate(args, read_stdin: Callable[[], str]) -> str:
     family = args.family
     if family == "k5-padding":
-        base = _undirected_from(read_stdin())
+        base = _read_graph(read_stdin(), UndirectedGraph)
         return emit_graph(generators.pad_with_k5(base, args.copies))
     if args.n is None:
         raise ParseError("gen requires --n for this family")

@@ -1,6 +1,7 @@
 """DIMACS-like graph text and coloring JSON.
 
-Graph files: comment lines start with ``c``; one problem line ``p edge n m``
+Graph files: comment lines have ``c`` as their first token (``c`` alone or
+``c`` followed by whitespace and text); one problem line ``p edge n m``
 or ``p arc n m``; then ``e u v`` or ``a u v`` lines with 1-indexed vertices.
 Coloring JSON: {"kind": "edge"|"vertex", "k": int, "assign": [[u, v, color],
 ...] or [[v, color], ...]} with the same 1-indexed ids.
@@ -24,10 +25,9 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
     n = m = 0
     items: list[tuple[int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c"):
+        fields = raw.split()
+        if not fields or fields[0] == "c":
             continue
-        fields = line.split()
         if fields[0] == "p":
             if mode is not None:
                 raise ParseError("duplicate problem line", lineno)

@@ -13,17 +13,17 @@ import math
 from dataclasses import asdict, dataclass, field
 
 from .graphs import (
-    Edge,
     EdgeColoring,
     OrientedGraph,
     UndirectedGraph,
     VertexColoring,
+    VertexOrdering,
     degeneracy_order,
     greedy_color,
     orient_by_ordering,
 )
 from .hypergraphs import neighborhood_hypergraph, peel_color_clique_graph
-from .injective import color_arcs_deterministic, verify_injective
+from .injective import color_arcs_deterministic, color_greedy_classes, verify_injective
 from .oracles import BudgetExceededError, OracleBudget, exact_oriented_coloring
 from .oriented import (
     add_unique_colors,
@@ -70,15 +70,28 @@ def heawood_degeneracy_bound(genus: int) -> int:
     return (5 + math.isqrt(1 + 24 * genus)) // 2
 
 
-def _check_genus_preconditions(G: UndirectedGraph, genus: int, d: int) -> int:
+def _genus_ordering(G: UndirectedGraph, genus: int) -> tuple[VertexOrdering, int]:
+    """The degeneracy order of G and the Heawood bound, after refusing a
+    genus below 2 or a degeneracy above the bound."""
     if genus < 2:
         raise GenusTooSmallError("the pipelines require an asserted genus of at least 2")
+    ordering = degeneracy_order(G)
     bound = heawood_degeneracy_bound(genus)
-    if d > bound:
+    if ordering.d > bound:
         raise DegeneracyExceedsGenusError(
-            f"degeneracy {d} exceeds {bound}, impossible at Euler genus {genus}"
+            f"degeneracy {ordering.d} exceeds {bound}, impossible at Euler genus {genus}"
         )
-    return bound
+    return ordering, bound
+
+
+def _check_class_caps(D: OrientedGraph, v2: list[int], proper: VertexColoring,
+                      class_cap: int, outdeg_cap: int, genus: int) -> None:
+    for v in v2:
+        if proper[v] > class_cap or D.out_degree(v) > outdeg_cap:
+            raise DegeneracyExceedsGenusError(
+                f"vertex {v} needs color {proper[v]} with out-degree {D.out_degree(v)}, "
+                f"beyond the caps ({class_cap}, {outdeg_cap}) for genus {genus}"
+            )
 
 
 def injective_color_genus(
@@ -94,8 +107,7 @@ def injective_color_genus(
     deterministically through a clique-graph peel coloring and a separating
     family.
     """
-    ordering = degeneracy_order(G)
-    heawood = _check_genus_preconditions(G, genus, ordering.d)
+    ordering, heawood = _genus_ordering(G, genus)
     D = orient_by_ordering(G, ordering)
     proper = greedy_color(G, ordering)
 
@@ -105,44 +117,21 @@ def injective_color_genus(
     v1 = set(order[:split])
     v2 = list(order[split:])
     class_cap = math.floor(log_g) + 6
-    outdeg_cap = math.floor(log_g) + 5
-    for v in v2:
-        if proper[v] > class_cap or D.out_degree(v) > outdeg_cap:
-            raise DegeneracyExceedsGenusError(
-                f"vertex {v} needs color {proper[v]} with out-degree {D.out_degree(v)}, "
-                f"beyond the caps ({class_cap}, {outdeg_cap}) for genus {genus}"
-            )
+    _check_class_caps(D, v2, proper, class_cap, class_cap - 1, genus)
 
-    merged: dict[Edge, int] = {}
-    offset = 0
-    phase_colors: dict[str, int] = {}
     per_class_peel: dict[str, int] = {}
-    v2set = set(v2)
-    for cls in range(1, class_cap + 1):
-        X = [v for v in v2 if proper[v] == cls]
-        if not X or all(D.out_degree(x) == 0 for x in X):
-            continue
-        hyper, originals = neighborhood_hypergraph(D, X)
-        dense = peel_color_clique_graph(hyper, genus=genus)
-        hcol = VertexColoring({originals[i]: c for i, c in dense.colors.items()})
-        d_cls = max(D.out_degree(x) for x in X)
-        r = max(2, d_cls)
-        family = build_separating_family(max(hcol.k, r), r, derive_seed(rng_seed, cls))
-        part = color_arcs_deterministic(D, X, hcol, family)
-        for e, c in part.colors.items():
-            merged[e] = offset + c
-        offset += part.k
-        phase_colors[f"class_{cls}"] = part.k
-        per_class_peel[f"class_{cls}"] = hcol.k
 
+    def color_class(cls: int, X: list[int]) -> EdgeColoring:
+        r = max(2, max(D.out_degree(x) for x in X))
+        part, peel = _color_genus_class(D, X, genus, r, derive_seed(rng_seed, cls))
+        per_class_peel[f"class_{cls}"] = peel
+        return part
+
+    classes, phase_colors = color_greedy_classes(D, v2, proper, color_class)
     inner = [(u, v) for u, v in G.edges() if u in v1 and v in v1]
-    for e in inner:
-        offset += 1
-        merged[e] = offset
+    merged = dict(classes.colors)
+    merged.update((e, classes.k + i) for i, e in enumerate(inner, start=1))
     phase_colors["v1_fresh"] = len(inner)
-
-    if len(merged) != G.m:
-        raise RuntimeError("internal error: some edge was never assigned a color")
     coloring = EdgeColoring(merged)
     edge_bound = 6 * genus + 36 * genus / log_g
     report = PipelineReport(
@@ -167,33 +156,30 @@ def injective_color_genus(
     return coloring, report
 
 
-def _unique_coloring_report(D: OrientedGraph, genus: int, seed: int, heawood: int, d: int):
-    coloring = VertexColoring({v: v + 1 for v in range(D.n)})
-    report = PipelineReport(
-        colors_used=coloring.k,
-        v1_size=D.n,
-        v2_size=0,
-        phase_colors={"unique": D.n},
-        checks={"oriented_valid": verify_oriented_coloring(D, coloring)},
-        stats={"seed": seed, "degeneracy": d, "heawood_bound": heawood,
-               "small_instance": True},
-    )
-    return coloring, report
+def _color_genus_class(
+    D: OrientedGraph, X: list[int], genus: int, r: int, seed: int
+) -> tuple[EdgeColoring, int]:
+    """Color the arcs leaving class X deterministically: peel-color the
+    clique graph of X's out-neighborhoods, then separate those colors with
+    an order-r family.  Returns the coloring and the peel color count."""
+    hyper, originals = neighborhood_hypergraph(D, X)
+    dense = peel_color_clique_graph(hyper, genus=genus)
+    hcol = VertexColoring({originals[i]: c for i, c in dense.colors.items()})
+    family = build_separating_family(max(hcol.k, r), r, seed)
+    return color_arcs_deterministic(D, X, hcol, family), hcol.k
 
 
-def _split_after_6g(D: OrientedGraph, genus: int):
-    G = D.underlying()
-    ordering = degeneracy_order(G)
+def _split_after_6g(D: OrientedGraph, G: UndirectedGraph, ordering: VertexOrdering, genus: int):
     order = ordering.order
     v1 = set(order[: 6 * genus])
-    v2 = [v for v in order[6 * genus:]]
+    v2 = list(order[6 * genus:])
     stripped = UndirectedGraph(
         G.n, [(u, v) for u, v in G.edges() if u not in v1 or v not in v1]
     )
     restricted = OrientedGraph(
         D.n, [(a, b) for a, b in D.arcs() if a not in v1 or b not in v1]
     )
-    return G, ordering, v1, v2, stripped, restricted
+    return v1, v2, stripped, restricted
 
 
 def oriented_color_genus(
@@ -209,40 +195,27 @@ def oriented_color_genus(
     Instances with n <= 6g are colored entirely with unique colors.
     """
     G = D.underlying()
-    ordering = degeneracy_order(G)
-    heawood = _check_genus_preconditions(G, genus, ordering.d)
+    ordering, heawood = _genus_ordering(G, genus)
     if G.n <= 6 * genus:
-        return _unique_coloring_report(D, genus, rng_seed, heawood, ordering.d)
+        unique = VertexColoring({v: v + 1 for v in range(D.n)})
+        return unique, PipelineReport(
+            colors_used=unique.k,
+            v1_size=D.n,
+            v2_size=0,
+            phase_colors={"unique": D.n},
+            checks={"oriented_valid": verify_oriented_coloring(D, unique)},
+            stats={"seed": rng_seed, "degeneracy": ordering.d, "heawood_bound": heawood,
+                   "small_instance": True},
+        )
 
-    G, ordering, v1, v2, stripped, restricted = _split_after_6g(D, genus)
+    v1, v2, stripped, restricted = _split_after_6g(D, G, ordering, genus)
     aux = orient_by_ordering(stripped, ordering)
     proper = greedy_color(G, ordering)
-    for v in v2:
-        if proper[v] > 7 or aux.out_degree(v) > 6:
-            raise DegeneracyExceedsGenusError(
-                f"vertex {v} needs color {proper[v]} with out-degree {aux.out_degree(v)}, "
-                f"beyond the caps (7, 6) for genus {genus}"
-            )
-
-    merged: dict[Edge, int] = {}
-    offset = 0
-    phase_colors: dict[str, int] = {}
-    for cls in range(1, 8):
-        X = [v for v in v2 if proper[v] == cls]
-        if not X or all(aux.out_degree(x) == 0 for x in X):
-            continue
-        hyper, originals = neighborhood_hypergraph(aux, X)
-        dense = peel_color_clique_graph(hyper, genus=genus)
-        hcol = VertexColoring({originals[i]: c for i, c in dense.colors.items()})
-        family = build_separating_family(max(hcol.k, 6), 6, derive_seed(rng_seed, cls))
-        part = color_arcs_deterministic(aux, X, hcol, family)
-        for e, c in part.colors.items():
-            merged[e] = offset + c
-        offset += part.k
-        phase_colors[f"class_{cls}"] = part.k
-    if len(merged) != stripped.m:
-        raise RuntimeError("internal error: some stripped edge was never colored")
-    inj = EdgeColoring(merged)
+    _check_class_caps(aux, v2, proper, 7, 6, genus)
+    inj, phase_colors = color_greedy_classes(
+        aux, v2, proper,
+        lambda cls, X: _color_genus_class(aux, X, genus, 6, derive_seed(rng_seed, cls))[0],
+    )
 
     base = oriented_from_injective(restricted, inj)
     final = add_unique_colors(D, v1, base)
@@ -280,9 +253,8 @@ def oriented_color_genus_via_2dipath(
     small enough, the exact oriented solver replaces the embedding.
     """
     G = D.underlying()
-    ordering = degeneracy_order(G)
-    heawood = _check_genus_preconditions(G, genus, ordering.d)
-    G, ordering, v1, v2, stripped, restricted = _split_after_6g(D, genus)
+    ordering, heawood = _genus_ordering(G, genus)
+    v1, v2, stripped, restricted = _split_after_6g(D, G, ordering, genus)
 
     phase_colors: dict[str, int] = {}
     stats: dict[str, object] = {"seed": rng_seed, "degeneracy": ordering.d,

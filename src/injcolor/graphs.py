@@ -176,7 +176,11 @@ class VertexColoring:
 
 
 class EdgeColoring:
-    """Total map from edges (as unordered pairs) to positive color ids."""
+    """Map from edges (as unordered pairs) to positive color ids.
+
+    Total on E(G) for a coloring of G; the arc-coloring procedures return it
+    on the subset of edges they were asked to color.
+    """
 
     def __init__(self, colors: Mapping[Edge, int]) -> None:
         self.colors = {normalize_edge(*e): c for e, c in colors.items()}
@@ -184,6 +188,9 @@ class EdgeColoring:
 
     def __getitem__(self, e: Edge) -> int:
         return self.colors[normalize_edge(*e)]
+
+    def domain(self) -> set[Edge]:
+        return set(self.colors)
 
     def classes(self) -> dict[int, list[Edge]]:
         out: dict[int, list[Edge]] = {}
@@ -255,6 +262,15 @@ def greedy_color(G: UndirectedGraph, ordering: VertexOrdering) -> VertexColoring
             c += 1
         colors[v] = c
     return VertexColoring(colors)
+
+
+def two_dipath_constraint_graph(D: OrientedGraph) -> UndirectedGraph:
+    """Vertices joined by an arc or by a directed path of length 2."""
+    pairs = D.arcs()
+    for w in range(D.n):
+        for u in D.in_neighbors(w):
+            pairs.extend((u, v) for v in D.out_neighbors(w) if u != v)
+    return UndirectedGraph(D.n, pairs)
 
 
 def edges_conflict(G: UndirectedGraph, e: Edge, f: Edge) -> bool:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Iterable
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     Edge,
@@ -49,34 +49,54 @@ class InvalidColoringError(ValueError):
     """A supplied coloring violates the contract the operation relies on."""
 
 
-class PartialEdgeColoring:
-    """Map from a subset of the host graph's edges to color ids 1..k."""
-
-    def __init__(self, colors: dict[Edge, int]) -> None:
-        self.colors = {normalize_edge(*e): c for e, c in colors.items()}
-        self.k = len(set(self.colors.values()))
-
-    def domain(self) -> set[Edge]:
-        return set(self.colors)
-
-    def __repr__(self) -> str:
-        return f"PartialEdgeColoring(k={self.k}, edges={len(self.colors)})"
-
-
-def _check_independent(D: OrientedGraph, members: list[int]) -> None:
+def _out_arcs_of_independent(D: OrientedGraph, X: Iterable[int]) -> tuple[list[int], list[Edge]]:
+    """X sorted, and the sorted arcs leaving it; raises unless X is independent."""
+    members = sorted(set(X))
     xset = set(members)
     for x in members:
         if not D.out_neighbors(x).isdisjoint(xset) or not D.in_neighbors(x).isdisjoint(xset):
             raise ValueError(f"vertex set is not independent: {x} has a neighbor inside it")
+    return members, D.arcs_out_of(members)
 
 
-def _shade_coloring(members: list[int], arc_pairs: set[Edge]) -> VertexColoring:
-    # Proper coloring of the auxiliary graph along its degeneracy order.
+def _sole_hits(D: OrientedGraph, members: list[int], selected: set[int]) -> dict[int, int]:
+    """Map each member whose out-neighborhood meets `selected` in exactly one
+    vertex to that vertex."""
+    chosen: dict[int, int] = {}
+    for x in members:
+        hit = None
+        count = 0
+        for a in D.out_neighbors(x):
+            if a in selected:
+                count += 1
+                if count > 1:
+                    break
+                hit = a
+        if count == 1:
+            chosen[x] = hit
+    return chosen
+
+
+def _shades(D: OrientedGraph, aux_members: Iterable[int], head_of: dict[int, int]) -> dict[int, int]:
+    """Shade of each head in head_of's values: a greedy proper coloring of the
+    graph on aux_members (a superset of the heads) joining a to w for each arc
+    a -> w inside it and a to head_of[x] != a for each arc a -> x."""
+    members = sorted(aux_members)
+    index = {v: i for i, v in enumerate(members)}
+    arc_pairs: set[Edge] = set()
+    for a in members:
+        ia = index[a]
+        for w in D.out_neighbors(a):
+            if w in index:
+                arc_pairs.add(normalize_edge(ia, index[w]))
+            elif w in head_of and head_of[w] != a:
+                arc_pairs.add(normalize_edge(ia, index[head_of[w]]))
     aux = UndirectedGraph(len(members), arc_pairs)
-    return greedy_color(aux, degeneracy_order(aux))
+    shades = greedy_color(aux, degeneracy_order(aux))
+    return {a: shades[index[a]] for a in head_of.values()}
 
 
-def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0) -> PartialEdgeColoring:
+def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0) -> EdgeColoring:
     """Color all arcs leaving the independent set X into induced star forests.
 
     Rounds c = 1, 2, ... each sample a subset S_c of the other vertices with
@@ -88,11 +108,9 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     each round color into shades via a proper coloring of an auxiliary graph
     on S_c, which is what forces every class to be an induced star forest.
     """
-    members = sorted(set(X))
-    _check_independent(D, members)
-    targets = [(x, a) for x in members for a in sorted(D.out_neighbors(x))]
+    members, targets = _out_arcs_of_independent(D, X)
     if not targets:
-        return PartialEdgeColoring({})
+        return EdgeColoring({})
     d = max(D.out_degree(x) for x in members)
     max_degree = D.underlying().max_degree
     nominal = max(1, math.ceil(4 * math.e * d * math.log(max_degree))) if max_degree > 1 else 1
@@ -110,20 +128,10 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
         rounds += 1
         sample = {a for a in others if rng.random() < prob}
         samples.append(sample)
-        for x in members:
-            hit = None
-            count = 0
-            for a in D.out_neighbors(x):
-                if a in sample:
-                    count += 1
-                    if count > 1:
-                        break
-                    hit = a
-            if count == 1:
-                arc = (x, hit)
-                if arc not in round_of:
-                    uncolored -= 1
-                round_of[arc] = rounds
+        for arc in _sole_hits(D, members, sample).items():
+            if arc not in round_of:
+                uncolored -= 1
+            round_of[arc] = rounds
     if uncolored:
         raise RoundLimitExceededError(
             f"{uncolored} arcs uncolored after {rounds} rounds (seed {rng_seed})"
@@ -135,23 +143,10 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
 
     colored: dict[Edge, tuple[int, int]] = {}
     for c in sorted(by_round):
-        sample = samples[c - 1]
-        head_of = {x: a for x, a in by_round[c]}
-        aux_members = sorted(sample)
-        index = {v: i for i, v in enumerate(aux_members)}
-        arc_pairs: set[Edge] = set()
-        for a in aux_members:
-            ia = index[a]
-            for w in D.out_neighbors(a):
-                if w in sample:
-                    arc_pairs.add(normalize_edge(ia, index[w]))
-                elif w in head_of and head_of[w] != a:
-                    # a -> w with w's surviving round-c arc w -> head_of[w]
-                    arc_pairs.add(normalize_edge(ia, index[head_of[w]]))
-        shades = _shade_coloring(aux_members, arc_pairs)
+        shades = _shades(D, samples[c - 1], dict(by_round[c]))
         for x, a in by_round[c]:
-            colored[normalize_edge(x, a)] = (c, shades[index[a]])
-    return PartialEdgeColoring(canonical_color_ids(colored))
+            colored[normalize_edge(x, a)] = (c, shades[a])
+    return EdgeColoring(canonical_color_ids(colored))
 
 
 def color_arcs_deterministic(
@@ -159,7 +154,7 @@ def color_arcs_deterministic(
     X: Iterable[int],
     hcol: VertexColoring,
     family: SeparatingFamily,
-) -> PartialEdgeColoring:
+) -> EdgeColoring:
     """Deterministic version of color_arcs_randomized.
 
     hcol must give distinct colors to the out-neighborhood of every x in X
@@ -169,11 +164,9 @@ def color_arcs_deterministic(
     the x with exactly one out-neighbor colored inside P_i; an auxiliary
     graph supplies the shade, and later members overwrite earlier colors.
     """
-    members = sorted(set(X))
-    _check_independent(D, members)
-    arcs = [(x, a) for x in members for a in sorted(D.out_neighbors(x))]
+    members, arcs = _out_arcs_of_independent(D, X)
     if not arcs:
-        return PartialEdgeColoring({})
+        return EdgeColoring({})
     d = max(D.out_degree(x) for x in members)
     if family.r < d:
         raise ValueError(
@@ -196,41 +189,20 @@ def color_arcs_deterministic(
                 "on the co-out-neighborhood graph"
             )
 
+    heads = {a for _, a in arcs}
     pending: dict[Edge, tuple[int, int]] = {}
     for i, subset in enumerate(family.sets, start=1):
-        chosen: dict[int, int] = {}
-        for x in members:
-            hit = None
-            count = 0
-            for a in D.out_neighbors(x):
-                if hcol[a] in subset:
-                    count += 1
-                    if count > 1:
-                        break
-                    hit = a
-            if count == 1:
-                chosen[x] = hit
+        chosen = _sole_hits(D, members, {a for a in heads if hcol[a] in subset})
         if not chosen:
             continue
-        heads = sorted(set(chosen.values()))
-        index = {v: j for j, v in enumerate(heads)}
-        head_set = set(heads)
-        arc_pairs: set[Edge] = set()
-        for u in heads:
-            iu = index[u]
-            for w in D.out_neighbors(u):
-                if w in head_set and w != u:
-                    arc_pairs.add(normalize_edge(iu, index[w]))
-                elif w in chosen and chosen[w] != u:
-                    arc_pairs.add(normalize_edge(iu, index[chosen[w]]))
-        shades = _shade_coloring(heads, arc_pairs)
+        shades = _shades(D, set(chosen.values()), chosen)
         for x, z in chosen.items():
-            pending[(x, z)] = (i, shades[index[z]])
+            pending[(x, z)] = (i, shades[z])
 
     if len(pending) != len(arcs):
         missing = sorted(set(arcs) - set(pending))
         raise FamilyTooWeakError(f"family left {len(missing)} arcs uncolored, e.g. {missing[:3]}")
-    return PartialEdgeColoring(
+    return EdgeColoring(
         canonical_color_ids({normalize_edge(x, a): c for (x, a), c in pending.items()})
     )
 
@@ -254,18 +226,44 @@ def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeCol
         return exact_injective_coloring(G, budget)
     ordering = degeneracy_order(G)
     D = orient_by_ordering(G, ordering)
-    proper = greedy_color(G, ordering)
+    coloring, _ = color_greedy_classes(
+        D, range(G.n), greedy_color(G, ordering),
+        lambda cls, X: color_arcs_randomized(D, X, derive_seed(rng_seed, cls)),
+    )
+    return coloring
+
+
+def color_greedy_classes(
+    D: OrientedGraph,
+    vertices: Sequence[int],
+    proper: VertexColoring,
+    color_class: Callable[[int, list[int]], EdgeColoring],
+) -> tuple[EdgeColoring, dict[str, int]]:
+    """Color the arcs leaving the given vertices, one greedy class at a time.
+
+    color_class(cls, X) colors the arcs leaving class X (members in the given
+    order); its colors are shifted past those of earlier classes, so classes
+    never share a color.  Classes without out-arcs are skipped.  Returns the
+    merged coloring and each class's color count under "class_<cls>".
+    """
+    classes: dict[int, list[int]] = {}
+    for v in vertices:
+        classes.setdefault(proper[v], []).append(v)
     merged: dict[Edge, int] = {}
+    phase_colors: dict[str, int] = {}
     offset = 0
-    for cls in sorted(set(proper.colors.values())):
-        X = [v for v in range(G.n) if proper[v] == cls]
-        part = color_arcs_randomized(D, X, derive_seed(rng_seed, cls))
+    for cls in sorted(classes):
+        X = classes[cls]
+        if not any(D.out_degree(x) for x in X):
+            continue
+        part = color_class(cls, X)
         for e, c in part.colors.items():
             merged[e] = offset + c
         offset += part.k
-    if len(merged) != G.m:
+        phase_colors[f"class_{cls}"] = part.k
+    if len(merged) != sum(D.out_degree(v) for v in vertices):
         raise RuntimeError("internal error: some edge was never assigned a color")
-    return EdgeColoring(merged)
+    return EdgeColoring(merged), phase_colors
 
 
 def _subdivide_with_midpoints(G: UndirectedGraph) -> tuple[UndirectedGraph, dict[Edge, int]]:

@@ -16,6 +16,7 @@ from .graphs import (
     UndirectedGraph,
     VertexColoring,
     edges_conflict,
+    two_dipath_constraint_graph,
 )
 
 
@@ -200,8 +201,6 @@ def _solve_chromatic(n: int, adj: list[set[int]], deadline: _Deadline) -> dict[i
 
 
 def exact_chromatic_number(G: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
-    if G.n > budget.max_vertices:
-        raise BudgetExceededError(f"{G.n} vertices exceed budget {budget.max_vertices}")
     return exact_chromatic_coloring(G, budget).k
 
 
@@ -240,27 +239,14 @@ def exact_injective_coloring(G: UndirectedGraph, budget: OracleBudget = DEFAULT_
     return EdgeColoring({edges[i]: colors[i] for i in range(m)})
 
 
-def _two_dipath_adjacency(D: OrientedGraph) -> list[set[int]]:
-    adj: list[set[int]] = [set() for _ in range(D.n)]
-    for u, v in D.arcs():
-        adj[u].add(v)
-        adj[v].add(u)
-    for w in range(D.n):
-        for u in D.in_neighbors(w):
-            for v in D.out_neighbors(w):
-                if u != v:
-                    adj[u].add(v)
-                    adj[v].add(u)
-    return adj
-
-
 def exact_2dipath_number(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Minimum colors so that endpoints of every arc and every directed
     two-step path differ, for the given fixed orientation."""
     if D.n > budget.max_vertices:
         raise BudgetExceededError(f"{D.n} vertices exceed budget {budget.max_vertices}")
     deadline = _Deadline(budget.timeout)
-    adj = _two_dipath_adjacency(D)
+    constraints = two_dipath_constraint_graph(D)
+    adj = [constraints.neighbors(v) for v in range(D.n)]
     colors = _solve_chromatic(D.n, adj, deadline)
     return len(set(colors.values())) if colors else 0
 

@@ -17,15 +17,14 @@ from typing import Iterable, Sequence
 from .graphs import (
     EdgeColoring,
     OrientedGraph,
-    UndirectedGraph,
     VertexColoring,
     VertexOrdering,
     canonical_color_ids,
     degeneracy_order,
     greedy_color,
-    normalize_edge,
+    two_dipath_constraint_graph,
 )
-from .injective import InvalidColoringError, verify_injective
+from .injective import InvalidColoringError
 from .rng import pair_bit
 
 FULL_BUILD_ATTEMPTS = 64
@@ -45,10 +44,10 @@ def oriented_from_injective(D: OrientedGraph, coloring: EdgeColoring) -> VertexC
 
     Given a valid injective edge coloring with k colors, the resulting
     vertex coloring is a valid oriented coloring with at most 4^k colors.
+    The precondition is not checked here: the pipelines check their result
+    in report.checks, and the CLI runs verify_injective on a user's coloring
+    before calling this.
     """
-    und = D.underlying()
-    if not verify_injective(und, coloring):
-        raise InvalidColoringError("edge coloring is not injective")
     pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
     for v in range(D.n):
         outgoing = sorted({coloring[(v, w)] for w in D.out_neighbors(v)})
@@ -61,34 +60,16 @@ def add_unique_colors(D: OrientedGraph, U: Iterable[int], base: VertexColoring) 
     """Recolor each vertex of U with a fresh color nobody else uses.
 
     base must be a valid oriented coloring of D with all arcs inside U
-    removed; the result is then a valid oriented coloring of D itself.
+    removed; the result is then a valid oriented coloring of D itself.  The
+    precondition is not checked here; the pipelines verify the result in
+    report.checks.
     """
-    uset = set(U)
-    reduced = OrientedGraph(
-        D.n, [(a, b) for a, b in D.arcs() if a not in uset or b not in uset]
-    )
-    if not verify_oriented_coloring(reduced, base):
-        raise InvalidColoringError("base coloring is not a valid oriented coloring "
-                                   "of the graph without the arcs inside U")
     out = dict(base.colors)
     fresh = max(out.values(), default=0) + 1
-    for u in sorted(uset):
+    for u in sorted(set(U)):
         out[u] = fresh
         fresh += 1
     return VertexColoring(out)
-
-
-def two_dipath_constraint_graph(D: OrientedGraph) -> UndirectedGraph:
-    """Vertices joined by an arc or by a directed path of length 2."""
-    pairs = set()
-    for u, v in D.arcs():
-        pairs.add(normalize_edge(u, v))
-    for w in range(D.n):
-        for u in D.in_neighbors(w):
-            for v in D.out_neighbors(w):
-                if u != v:
-                    pairs.add(normalize_edge(u, v))
-    return UndirectedGraph(D.n, pairs)
 
 
 def greedy_2dipath(D: OrientedGraph) -> VertexColoring:
@@ -117,20 +98,19 @@ def full_part_size(k: int, d: int) -> int:
     return math.ceil(8**d * math.log(k))
 
 
-class FullGraph:
-    """Oriented complete k-partite graph, N vertices per part, certified to
-    realize every length-d sign pattern toward every part.
+class FullTarget:
+    """Orientation of the complete k-partite graph with N vertices per part,
+    meant to realize every length-d sign pattern toward every part.
 
-    Part i occupies vertex ids [i*N, (i+1)*N).  The orientation is stored as
-    per-vertex out-neighbor bitmasks.
+    Part i occupies vertex ids [i*N, (i+1)*N).  Subclasses store the
+    orientation and answer has_arc(u, v).
     """
 
-    def __init__(self, k: int, part_size: int, d: int, out_masks: list[int]) -> None:
+    def __init__(self, k: int, part_size: int, d: int) -> None:
         self.k = k
         self.N = part_size
         self.d = d
         self.n = k * part_size
-        self._out = out_masks
 
     @property
     def parts(self) -> list[range]:
@@ -138,6 +118,18 @@ class FullGraph:
 
     def part_of(self, v: int) -> int:
         return v // self.N
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(k={self.k}, N={self.N}, d={self.d})"
+
+
+class FullGraph(FullTarget):
+    """Full target certified by verify_full, stored as per-vertex
+    out-neighbor bitmasks."""
+
+    def __init__(self, k: int, part_size: int, d: int, out_masks: list[int]) -> None:
+        super().__init__(k, part_size, d)
+        self._out = out_masks
 
     def has_arc(self, u: int, v: int) -> bool:
         return bool(self._out[u] >> v & 1)
@@ -154,11 +146,8 @@ class FullGraph:
                 yield (u, low.bit_length() - 1)
                 rest ^= low
 
-    def __repr__(self) -> str:
-        return f"FullGraph(k={self.k}, N={self.N}, d={self.d})"
 
-
-class SampledFullOrientation:
+class SampledFullOrientation(FullTarget):
     """Implicit random orientation of a complete k-partite graph.
 
     Arc directions come from a keyed hash, so the graph never materializes;
@@ -167,18 +156,8 @@ class SampledFullOrientation:
     """
 
     def __init__(self, k: int, part_size: int, d: int, rng_seed: int) -> None:
-        self.k = k
-        self.N = part_size
-        self.d = d
-        self.n = k * part_size
+        super().__init__(k, part_size, d)
         self.seed = rng_seed
-
-    @property
-    def parts(self) -> list[range]:
-        return [range(i * self.N, (i + 1) * self.N) for i in range(self.k)]
-
-    def part_of(self, v: int) -> int:
-        return v // self.N
 
     def has_arc(self, u: int, v: int) -> bool:
         if u == v or u // self.N == v // self.N:
@@ -186,9 +165,6 @@ class SampledFullOrientation:
         a, b = (u, v) if u < v else (v, u)
         forward = pair_bit(self.seed, a, b)
         return (u, v) == (a, b) if forward else (u, v) == (b, a)
-
-    def __repr__(self) -> str:
-        return f"SampledFullOrientation(k={self.k}, N={self.N}, d={self.d})"
 
 
 def sample_full_orientation(k: int, d: int, rng_seed: int = 0) -> SampledFullOrientation:
@@ -303,7 +279,7 @@ def homomorphism_to_full(
     D: OrientedGraph,
     ordering: VertexOrdering,
     psi: VertexColoring,
-    H,
+    H: FullTarget,
 ) -> dict[int, int]:
     """Arc-preserving map from D into the full graph H.
 
@@ -311,10 +287,10 @@ def homomorphism_to_full(
     the ordering must witness degeneracy at most H.d.  Vertices are embedded
     along the ordering; each one goes to the smallest-id vertex of its
     psi-part whose arc directions toward the already-embedded neighbors
-    match.  Fullness of H guarantees such a witness exists.
+    match.  Fullness of H guarantees such a witness exists.  That psi is a
+    2-dipath coloring is not checked here (only its color range and the
+    ordering are); the pipeline verifies the final coloring in report.checks.
     """
-    if not verify_2dipath(D, psi):
-        raise InvalidColoringError("psi is not a valid 2-dipath coloring")
     if any(not 1 <= c <= H.k for c in psi.colors.values()):
         raise InvalidColoringError(f"psi uses colors outside 1..{H.k}")
     if set(ordering.order) != set(range(D.n)):
@@ -334,9 +310,8 @@ def homomorphism_to_full(
             sign = 1 if D.has_arc(v, u) else -1
             image = mapping[u]
             if constraints.setdefault(image, sign) != sign:
-                # Opposite signs toward one image would need a directed
-                # 2-path between equal psi colors, which verify_2dipath
-                # already excluded.
+                # Opposite signs toward one image need a directed 2-path
+                # between equal psi colors, which a 2-dipath coloring excludes.
                 raise NoWitnessError(f"conflicting sign requirements toward image {image}")
         witness = None
         for x in parts[psi[v] - 1]:
@@ -390,12 +365,4 @@ def verify_2dipath(D: OrientedGraph, coloring: VertexColoring) -> bool:
     for v in range(D.n):
         if v not in coloring.colors:
             raise InvalidColoringError(f"vertex {v} has no color")
-    for u, v in D.arcs():
-        if coloring[u] == coloring[v]:
-            return False
-    for w in range(D.n):
-        for u in D.in_neighbors(w):
-            for v in D.out_neighbors(w):
-                if u != v and coloring[u] == coloring[v]:
-                    return False
-    return True
+    return all(coloring[u] != coloring[v] for u, v in two_dipath_constraint_graph(D).edges())

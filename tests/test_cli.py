@@ -124,6 +124,31 @@ def test_oriented_from_inj_subcommand(tmp_path):
     assert code == 0 and obj["valid"]
 
 
+def test_oriented_from_inj_rejects_bad_colorings(tmp_path):
+    # The CLI verifies a user's edge coloring before building from it.
+    triangle = "p arc 3 3\na 1 2\na 2 3\na 3 1\n"
+    dipath = "p arc 3 2\na 1 2\na 2 3\n"
+    cases = [
+        (triangle, [[1, 2, 1], [2, 3, 1], [1, 3, 1]], "not injective"),
+        (dipath, [[1, 2, 1]], "has no color"),
+        (dipath, [[1, 2, 1], [2, 3, 2], [1, 3, 3]], "non-edges"),
+    ]
+    cpath = tmp_path / "inj.json"
+    for graph, assign, message in cases:
+        cpath.write_text(json.dumps({"kind": "edge", "k": 1, "assign": assign}))
+        code, out = run(["oriented-from-inj", "--coloring", str(cpath)], graph)
+        assert code == 1 and message in json.loads(out)["error"]
+
+
+def test_comment_lines_need_a_c_token():
+    G = parse_graph("c\nc some text\n\tc indented\np edge 2 1\ne 1 2\n")
+    assert (G.n, G.m) == (2, 1)
+    with pytest.raises(ParseError):
+        parse_graph("p edge 2 1\ncat 1 2\ne 1 2\n")
+    code, out = run(["inj-degenerate"], "p edge 3 1\ne 1 2\ncat 2 3\n")
+    assert code == 1 and "cat" in json.loads(out)["error"]
+
+
 def test_gen_subcommands():
     code, out = run(["gen", "--family", "complete", "--n", "4"])
     assert code == 0 and parse_graph(out).m == 6
