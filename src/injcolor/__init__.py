@@ -2,6 +2,7 @@
 bounded-genus graphs, with exact oracles and verifiers certifying every
 output at desk scale."""
 
+from .errors import InjcolorError
 from .graphs import (
     EdgeColoring,
     OrientedGraph,

@@ -2,7 +2,8 @@
 
 Graphs arrive on stdin in the DIMACS-like text format, reports leave on
 stdout as JSON (or plain text with --format text).  Exit codes: 0 success
-with verifier true, 1 input or budget errors, 2 verifier false.
+with verifier true, 1 input, budget or construction errors, 2 verifier
+false.
 """
 
 from __future__ import annotations
@@ -14,13 +15,8 @@ from typing import Callable, Sequence
 
 from . import generators
 from .dimacs import ParseError, coloring_from_obj, coloring_to_obj, emit_graph, parse_graph
-from .genus import (
-    DegeneracyExceedsGenusError,
-    GenusTooSmallError,
-    injective_color_genus,
-    oriented_color_genus,
-    oriented_color_genus_via_2dipath,
-)
+from .errors import InjcolorError
+from .genus import injective_color_genus, oriented_color_genus, oriented_color_genus_via_2dipath
 from .graphs import EdgeColoring, OrientedGraph, UndirectedGraph, VertexColoring
 from .injective import (
     InvalidColoringError,
@@ -29,7 +25,6 @@ from .injective import (
     verify_injective,
 )
 from .oracles import (
-    BudgetExceededError,
     OracleBudget,
     exact_2dipath_number,
     exact_chromatic_number,
@@ -301,15 +296,9 @@ def run_command(
         args = _build_parser().parse_args(list(argv))
         fmt = args.format
         code, result = _dispatch(args, read_stdin)
-    except (
-        ParseError,
-        GenusTooSmallError,
-        DegeneracyExceedsGenusError,
-        BudgetExceededError,
-        InvalidColoringError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # ValueError covers ParseError, InvalidColoringError and the genus
+    # refusals; InjcolorError covers budgets and failed constructions.
+    except (InjcolorError, ValueError, OSError) as exc:
         return EXIT_INPUT_ERROR, _render({"error": str(exc)}, fmt)
     if isinstance(result, str):
         return code, result

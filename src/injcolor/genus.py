@@ -24,7 +24,7 @@ from .graphs import (
 )
 from .hypergraphs import neighborhood_hypergraph, peel_color_clique_graph
 from .injective import color_arcs_deterministic, color_greedy_classes, verify_injective
-from .oracles import BudgetExceededError, OracleBudget, exact_oriented_coloring
+from .oracles import BudgetExceededError
 from .oriented import (
     add_unique_colors,
     build_full_graph,
@@ -249,8 +249,6 @@ def oriented_color_genus_via_2dipath(
     degeneracy.  Certified targets require d within the given budget, since
     exhaustive fullness verification scales as (k*N)^d; beyond the budget the
     operation refuses unless uncertified sampling is explicitly allowed.
-    When the greedy coloring needs fewer than 5 colors and the instance is
-    small enough, the exact oriented solver replaces the embedding.
     """
     G = D.underlying()
     ordering, heawood = _genus_ordering(G, genus)
@@ -267,31 +265,27 @@ def oriented_color_genus_via_2dipath(
         psi = greedy_2dipath(restricted)
         k = max(5, psi.k)
         stats["two_dipath_colors"] = psi.k
-        if psi.k < 5 and restricted.n <= OracleBudget().max_vertices:
-            base = exact_oriented_coloring(restricted)
-            stats["route"] = "exact_oracle"
+        inner_ordering = degeneracy_order(stripped)
+        order_needed = max(2, inner_ordering.d)
+        stats["full_order"] = order_needed
+        if order_needed <= full_order_budget:
+            target = build_full_graph(k, order_needed, derive_seed(rng_seed, 1))
+            stats["route"] = "certified_full_graph"
+        elif allow_uncertified_full:
+            target = sample_full_orientation(k, order_needed, derive_seed(rng_seed, 1))
+            stats["certified_target"] = False
+            stats["route"] = "uncertified_full_graph"
         else:
-            inner_ordering = degeneracy_order(stripped)
-            order_needed = max(2, inner_ordering.d)
-            stats["full_order"] = order_needed
-            if order_needed <= full_order_budget:
-                target = build_full_graph(k, order_needed, derive_seed(rng_seed, 1))
-                stats["route"] = "certified_full_graph"
-            elif allow_uncertified_full:
-                target = sample_full_orientation(k, order_needed, derive_seed(rng_seed, 1))
-                stats["certified_target"] = False
-                stats["route"] = "uncertified_full_graph"
-            else:
-                raise BudgetExceededError(
-                    f"sign-pattern order {order_needed} exceeds the verification budget "
-                    f"{full_order_budget}; part size would be "
-                    f"{full_part_size(k, order_needed)}.  Pass allow_uncertified_full "
-                    "to sample an uncertified target."
-                )
-            mapping = homomorphism_to_full(restricted, inner_ordering, psi, target)
-            base = coloring_from_homomorphism(mapping)
-            phase_colors["target_parts"] = target.k
-            phase_colors["target_part_size"] = target.N
+            raise BudgetExceededError(
+                f"sign-pattern order {order_needed} exceeds the verification budget "
+                f"{full_order_budget}; part size would be "
+                f"{full_part_size(k, order_needed)}.  Pass allow_uncertified_full "
+                "to sample an uncertified target."
+            )
+        mapping = homomorphism_to_full(restricted, inner_ordering, psi, target)
+        base = coloring_from_homomorphism(mapping)
+        phase_colors["target_parts"] = target.k
+        phase_colors["target_part_size"] = target.N
     phase_colors["base_oriented"] = base.k
 
     final = add_unique_colors(D, v1, base)

@@ -292,15 +292,47 @@ def edges_conflict(G: UndirectedGraph, e: Edge, f: Edge) -> bool:
     return False
 
 
+def has_color_conflict(G: UndirectedGraph, colors: Mapping[Edge, int]) -> bool:
+    """True when two distinct equal-colored edges of `colors` conflict in G.
+
+    `colors` maps normalized edges of G to colors and may cover only part of
+    E(G).  Two equal-colored edges e and f conflict exactly when a third
+    edge g = xy of G (colored or not) has e at x and f at y, e and f both
+    differing from g.  So the check counts, per vertex, the colored edges of
+    each color at it, and asks of every G-edge g between touched vertices
+    whether a color occurs at both ends once g itself is left out.  That
+    costs O(sum of deg x over touched x, plus sum over such g = xy of
+    min(deg x, deg y)); on a d-degenerate graph the second sum is O(d*m).
+    """
+    at: dict[int, dict[int, int]] = {}
+    for e, c in colors.items():
+        for w in e:
+            count = at.setdefault(w, {})
+            count[c] = count.get(c, 0) + 1
+    for x, at_x in at.items():
+        for y in G.neighbors(x):
+            if y < x or y not in at:
+                continue
+            at_y = at[y]
+            shared = at_x.keys() & at_y.keys()
+            own = colors.get((x, y))
+            if own is not None and (at_x[own] == 1 or at_y[own] == 1):
+                shared.discard(own)  # g is the only edge of its color at x or y
+            if shared:
+                return True
+    return False
+
+
 def is_induced_star_forest(G: UndirectedGraph, edge_set: Iterable[Edge]) -> bool:
     """True when no two edges of the set conflict, i.e. the set is a star
-    forest induced in G."""
-    es = [normalize_edge(*e) for e in edge_set]
+    forest induced in G.
+
+    The set is checked as one color class of has_color_conflict, which
+    scans the G-edges at the set's vertices, including edges outside the
+    set, in O(|set| + sum of those vertices' degrees) time.
+    """
+    es = {normalize_edge(*e): 0 for e in edge_set}
     for e in es:
         if not G.has_edge(*e):
             raise ValueError(f"{e} is not an edge of the graph")
-    for i in range(len(es)):
-        for j in range(i + 1, len(es)):
-            if edges_conflict(G, es[i], es[j]):
-                return False
-    return True
+    return not has_color_conflict(G, es)

@@ -10,12 +10,14 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+from .errors import InjcolorError
 from .graphs import (
+    Edge,
     EdgeColoring,
     OrientedGraph,
     UndirectedGraph,
     VertexColoring,
-    edges_conflict,
+    normalize_edge,
     two_dipath_constraint_graph,
 )
 
@@ -34,7 +36,7 @@ DEFAULT_BUDGET = OracleBudget()
 MAX_ORIENTATION_EDGES = 10
 
 
-class BudgetExceededError(RuntimeError):
+class BudgetExceededError(RuntimeError, InjcolorError):
     pass
 
 
@@ -213,6 +215,34 @@ def exact_chromatic_coloring(G: UndirectedGraph, budget: OracleBudget = DEFAULT_
     return VertexColoring(_solve_chromatic(G.n, adj, deadline))
 
 
+def _conflict_adjacency(G: UndirectedGraph, edges: list[Edge], deadline: _Deadline) -> list[set[int]]:
+    """The edges_conflict adjacency on edge indices, found around each third
+    edge g = xy as (edges at x) x (edges at y) minus g, in
+    O(sum over g of deg x * deg y) time.
+
+    Pairs go in ascending (i, j) order, the order of a pairwise scan, so that
+    every set, and with it the solver's search order, matches that scan.
+    """
+    at: list[list[int]] = [[] for _ in range(G.n)]
+    for i, (u, v) in enumerate(edges):
+        at[u].append(i)
+        at[v].append(i)
+    pairs: set[Edge] = set()
+    for g, (x, y) in enumerate(edges):
+        deadline.check()
+        for i in at[x]:
+            if i == g:
+                continue
+            for j in at[y]:
+                if j != g:  # then j != i too: only g lies at both x and y
+                    pairs.add(normalize_edge(i, j))
+    adj: list[set[int]] = [set() for _ in range(len(edges))]
+    for i, j in sorted(pairs):
+        adj[i].add(j)
+        adj[j].add(i)
+    return adj
+
+
 def exact_injective_index(G: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     return exact_injective_coloring(G, budget).k
 
@@ -228,13 +258,7 @@ def exact_injective_coloring(G: UndirectedGraph, budget: OracleBudget = DEFAULT_
     deadline = _Deadline(budget.timeout)
     edges = G.edges()
     m = len(edges)
-    adj: list[set[int]] = [set() for _ in range(m)]
-    for i in range(m):
-        deadline.check()
-        for j in range(i + 1, m):
-            if edges_conflict(G, edges[i], edges[j]):
-                adj[i].add(j)
-                adj[j].add(i)
+    adj = _conflict_adjacency(G, edges, deadline)
     colors = _solve_chromatic(m, adj, deadline)
     return EdgeColoring({edges[i]: colors[i] for i in range(m)})
 

@@ -14,6 +14,7 @@ import math
 import random
 from typing import Iterable, Sequence
 
+from .errors import InjcolorError
 from .graphs import (
     EdgeColoring,
     OrientedGraph,
@@ -30,11 +31,11 @@ from .rng import pair_bit
 FULL_BUILD_ATTEMPTS = 64
 
 
-class FullGraphConstructionError(RuntimeError):
+class FullGraphConstructionError(RuntimeError, InjcolorError):
     pass
 
 
-class NoWitnessError(RuntimeError):
+class NoWitnessError(RuntimeError, InjcolorError):
     """No target vertex realizes the required sign pattern; this signals a
     precondition violation, since a full target always has a witness."""
 

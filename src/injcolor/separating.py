@@ -7,10 +7,12 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
+from .errors import InjcolorError
+
 MAX_BUILD_ATTEMPTS = 64
 
 
-class FamilyConstructionError(RuntimeError):
+class FamilyConstructionError(RuntimeError, InjcolorError):
     pass
 
 

@@ -3,8 +3,15 @@ import json
 import pytest
 
 from injcolor import (
+    BudgetExceededError,
     EdgeColoring,
+    FamilyConstructionError,
+    FamilyTooWeakError,
+    FullGraphConstructionError,
+    InjcolorError,
+    NoWitnessError,
     OrientedGraph,
+    RoundLimitExceededError,
     UndirectedGraph,
     complete_graph,
     cycle,
@@ -12,6 +19,7 @@ from injcolor import (
     random_degenerate_graph,
     random_orientation,
 )
+from injcolor import cli
 from injcolor.cli import run_command
 from injcolor.dimacs import ParseError, coloring_from_obj, coloring_to_obj, emit_graph, parse_graph
 
@@ -186,3 +194,18 @@ def test_text_format():
 def test_unknown_command_is_input_error():
     code, out = run(["no-such-command"])
     assert code == 1
+
+
+@pytest.mark.parametrize("error", [
+    FamilyConstructionError, FullGraphConstructionError, RoundLimitExceededError,
+    NoWitnessError, FamilyTooWeakError, BudgetExceededError,
+])
+def test_runtime_failures_exit_1_with_json_error(monkeypatch, error):
+    assert issubclass(error, InjcolorError) and issubclass(error, RuntimeError)
+
+    def fail(*args):
+        raise error("construction gave up")
+
+    monkeypatch.setattr(cli, "build_separating_family", fail)
+    code, out = run(["family", "--k", "5", "--r", "2"])
+    assert code == 1 and json.loads(out) == {"error": "construction gave up"}

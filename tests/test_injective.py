@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from injcolor import (
     EdgeColoring,
@@ -225,3 +227,31 @@ def test_verify_injective_agrees_with_direct_definition():
         mine = verify_injective(G, EdgeColoring(colors))
         ref = injective_assignment_valid(n, edges, {frozenset(e): c for e, c in colors.items()})
         assert mine == ref
+
+
+@st.composite
+def colored_graphs(draw):
+    """A small graph, an arbitrary (often non-injective) total coloring of
+    it, and an arbitrary edge subset."""
+    n = draw(st.integers(min_value=2, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    k = draw(st.integers(min_value=1, max_value=4))
+    colors = {e: draw(st.integers(min_value=1, max_value=k)) for e in edges}
+    subset = [e for e in edges if draw(st.booleans())]
+    return n, edges, colors, subset
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_graphs())
+# P4 with its end edges in the set: the joining edge (1, 2) lies outside it.
+@example((4, [(0, 1), (1, 2), (2, 3)], {(0, 1): 1, (1, 2): 2, (2, 3): 1}, [(0, 1), (2, 3)]))
+def test_fast_checks_agree_with_definition(case):
+    n, edges, colors, subset = case
+    G = UndirectedGraph(n, edges)
+    assert verify_injective(G, EdgeColoring(colors)) == injective_assignment_valid(
+        n, edges, {frozenset(e): c for e, c in colors.items()}
+    )
+    assert is_induced_star_forest(G, subset) == injective_assignment_valid(
+        n, edges, {frozenset(e): 1 for e in subset}
+    )

@@ -10,6 +10,7 @@ from injcolor import (
     UndirectedGraph,
     complete_graph,
     cycle,
+    edges_conflict,
     exact_2dipath_number,
     exact_chromatic_coloring,
     exact_chromatic_number,
@@ -19,9 +20,11 @@ from injcolor import (
     exact_oriented_number,
     exact_oriented_number_all_orientations,
     path,
+    random_degenerate_graph,
     verify_injective,
     verify_oriented_coloring,
 )
+from injcolor.oracles import _conflict_adjacency, _Deadline
 from .bruteforce import min_2dipath, min_chromatic, min_injective_colors, min_oriented
 
 
@@ -137,3 +140,23 @@ def test_budget_errors():
         exact_oriented_number(OrientedGraph(13))
     with pytest.raises(BudgetExceededError):
         exact_2dipath_number(OrientedGraph(13))
+
+
+def test_conflict_adjacency_matches_pairwise_scan():
+    rng = random.Random(4)
+    graphs = [complete_graph(5), cycle(9), path(6), random_degenerate_graph(14, 3, 1)]
+    for _ in range(60):
+        n = rng.randint(2, 9)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        graphs.append(UndirectedGraph(n, [p for p in pairs if rng.random() < 0.4]))
+    for G in graphs:
+        edges = G.edges()
+        expected = [set() for _ in edges]
+        for i, j in combinations(range(len(edges)), 2):
+            if edges_conflict(G, edges[i], edges[j]):
+                expected[i].add(j)
+                expected[j].add(i)
+        adj = _conflict_adjacency(G, edges, _Deadline(60.0))
+        # Equal sets built in the same insertion order iterate alike, which
+        # keeps the solver's search, and so its coloring, unchanged.
+        assert [list(s) for s in adj] == [list(s) for s in expected]
