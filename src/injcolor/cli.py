@@ -51,58 +51,54 @@ class _CliParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _common_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--format", choices=("json", "text"), default="json")
-    parser.add_argument("--budget-n", type=int, default=None)
-    parser.add_argument("--budget-m", type=int, default=None)
-    parser.add_argument("--g", type=int, default=None)
-    parser.add_argument("--unverified-full", action="store_true")
+def _subcommand(sub, name: str, *, seed: bool = False, genus: bool = False) -> _CliParser:
+    """A subcommand taking --format, plus --seed and --g where it reads them."""
+    p = sub.add_parser(name)
+    p.add_argument("--format", choices=("json", "text"), default="json")
+    if seed:
+        p.add_argument("--seed", type=int, default=0)
+    if genus:
+        # Optional for argparse: _need_genus refuses a missing --g with its own message.
+        p.add_argument("--g", type=int, default=None)
+    return p
 
 
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="injcolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in (
-        "inj-degenerate",
-        "inj-genus",
-        "oriented-genus",
-        "oriented-2dipath",
-        "subdivide",
-    ):
-        p = sub.add_parser(name)
-        _common_flags(p)
+    _subcommand(sub, "inj-degenerate", seed=True)
+    _subcommand(sub, "inj-genus", seed=True, genus=True)
+    _subcommand(sub, "oriented-genus", seed=True, genus=True)
+    p = _subcommand(sub, "oriented-2dipath", seed=True, genus=True)
+    p.add_argument("--unverified-full", action="store_true")
+    _subcommand(sub, "subdivide")
 
-    p = sub.add_parser("exact")
-    _common_flags(p)
+    p = _subcommand(sub, "exact")
     p.add_argument("--param", choices=("inj", "chromatic", "oriented", "2dipath"),
                    required=True)
+    p.add_argument("--budget-n", type=int, default=None)
+    p.add_argument("--budget-m", type=int, default=None)
 
-    p = sub.add_parser("oriented-from-inj")
-    _common_flags(p)
+    p = _subcommand(sub, "oriented-from-inj")
     p.add_argument("--coloring", required=True, help="edge-coloring JSON file")
 
-    p = sub.add_parser("verify")
-    _common_flags(p)
+    p = _subcommand(sub, "verify")
     p.add_argument("--kind", choices=("inj", "oriented", "2dipath"), required=True)
     p.add_argument("coloring", help="coloring JSON file")
     p.add_argument("graph", help="graph file")
 
-    p = sub.add_parser("gen")
-    _common_flags(p)
+    p = _subcommand(sub, "gen", seed=True)
     p.add_argument("--family", required=True,
                    choices=("complete", "path", "cycle", "random-genus-lb", "k5-padding"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--copies", type=int, default=0)
 
-    p = sub.add_parser("family")
-    _common_flags(p)
+    p = _subcommand(sub, "family", seed=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = sub.add_parser("full-graph")
-    _common_flags(p)
+    p = _subcommand(sub, "full-graph", seed=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 

@@ -238,7 +238,6 @@ def oriented_color_genus_via_2dipath(
     D: OrientedGraph,
     genus: int,
     rng_seed: int = 0,
-    full_order_budget: int = DEFAULT_FULL_ORDER_BUDGET,
     allow_uncertified_full: bool = False,
 ) -> tuple[VertexColoring, PipelineReport]:
     """Oriented coloring via a greedy 2-dipath coloring and a full-graph target.
@@ -246,8 +245,8 @@ def oriented_color_genus_via_2dipath(
     After stripping the edges inside the first 6g vertices, the remainder is
     greedily 2-dipath colored with k colors (padded up to 5) and embedded by
     homomorphism into a (k, d)-full target, d being the stripped graph's
-    degeneracy.  Certified targets require d within the given budget, since
-    exhaustive fullness verification scales as (k*N)^d; beyond the budget the
+    degeneracy.  Certified targets require d <= DEFAULT_FULL_ORDER_BUDGET,
+    since exhaustive fullness verification scales as (k*N)^d; beyond that the
     operation refuses unless uncertified sampling is explicitly allowed.
     """
     G = D.underlying()
@@ -268,7 +267,7 @@ def oriented_color_genus_via_2dipath(
         inner_ordering = degeneracy_order(stripped)
         order_needed = max(2, inner_ordering.d)
         stats["full_order"] = order_needed
-        if order_needed <= full_order_budget:
+        if order_needed <= DEFAULT_FULL_ORDER_BUDGET:
             target = build_full_graph(k, order_needed, derive_seed(rng_seed, 1))
             stats["route"] = "certified_full_graph"
         elif allow_uncertified_full:
@@ -278,7 +277,7 @@ def oriented_color_genus_via_2dipath(
         else:
             raise BudgetExceededError(
                 f"sign-pattern order {order_needed} exceeds the verification budget "
-                f"{full_order_budget}; part size would be "
+                f"{DEFAULT_FULL_ORDER_BUDGET}; part size would be "
                 f"{full_part_size(k, order_needed)}.  Pass allow_uncertified_full "
                 "to sample an uncertified target."
             )

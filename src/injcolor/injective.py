@@ -28,7 +28,6 @@ from .graphs import (
     normalize_edge,
     orient_by_ordering,
 )
-from .oracles import OracleBudget, exact_injective_coloring
 from .rng import derive_seed
 from .separating import SeparatingFamily
 
@@ -78,23 +77,36 @@ def _sole_hits(D: OrientedGraph, members: list[int], selected: set[int]) -> dict
     return chosen
 
 
-def _shades(D: OrientedGraph, aux_members: Iterable[int], head_of: dict[int, int]) -> dict[int, int]:
-    """Shade of each head in head_of's values: a greedy proper coloring of the
-    graph on aux_members (a superset of the heads) joining a to w for each arc
-    a -> w inside it and a to head_of[x] != a for each arc a -> x."""
-    members = sorted(aux_members)
-    index = {v: i for i, v in enumerate(members)}
-    arc_pairs: set[Edge] = set()
-    for a in members:
-        ia = index[a]
-        for w in D.out_neighbors(a):
-            if w in index:
-                arc_pairs.add(normalize_edge(ia, index[w]))
-            elif w in head_of and head_of[w] != a:
-                arc_pairs.add(normalize_edge(ia, index[head_of[w]]))
-    aux = UndirectedGraph(len(members), arc_pairs)
-    shades = greedy_color(aux, degeneracy_order(aux))
-    return {a: shades[index[a]] for a in head_of.values()}
+def _shade_rounds(D: OrientedGraph, round_of: dict[Edge, int]) -> EdgeColoring:
+    """Color each arc (x, a) by its round c = round_of[(x, a)] and a shade.
+
+    Within one round every tail x keeps at most one arc, so head_of maps each
+    tail to its head.  Two round-c arcs conflict only through an arc between
+    their heads or an arc from one head into the other arc's tail, so the
+    shades are a greedy proper coloring (in degeneracy order) of the graph
+    on the round's heads joining a to w for each arc a -> w between heads and
+    a to head_of[x] != a for each arc a -> x into a tail of the round.
+    """
+    by_round: dict[int, dict[int, int]] = {}
+    for (x, a), c in round_of.items():
+        by_round.setdefault(c, {})[x] = a
+    colored: dict[Edge, tuple[int, int]] = {}
+    for c in sorted(by_round):
+        head_of = by_round[c]
+        heads = sorted(set(head_of.values()))
+        index = {a: i for i, a in enumerate(heads)}
+        pairs: set[Edge] = set()
+        for a in heads:
+            for w in D.out_neighbors(a):
+                if w in index:
+                    pairs.add(normalize_edge(index[a], index[w]))
+                elif w in head_of and head_of[w] != a:
+                    pairs.add(normalize_edge(index[a], index[head_of[w]]))
+        aux = UndirectedGraph(len(heads), pairs)
+        shades = greedy_color(aux, degeneracy_order(aux))
+        for x, a in head_of.items():
+            colored[normalize_edge(x, a)] = (c, shades[index[a]])
+    return EdgeColoring(canonical_color_ids(colored))
 
 
 def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0) -> EdgeColoring:
@@ -105,9 +117,10 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     A vertex x in X whose out-neighborhood meets S_c in exactly one vertex a
     colors the arc (x, a) with c, overwriting any earlier color.  After
     ceil(4*e*d*ln(max_degree)) rounds, extra rounds run only while arcs
-    remain uncolored, up to 64 times the nominal count.  A final pass splits
-    each round color into shades via a proper coloring of an auxiliary graph
-    on S_c, which is what forces every class to be an induced star forest.
+    remain uncolored, up to 64 times the nominal count.  A final pass
+    (_shade_rounds) splits each round color into shades via a proper
+    coloring of an auxiliary graph on the heads of the arcs that kept that
+    round, which is what forces every class to be an induced star forest.
     """
     members, targets = _out_arcs_of_independent(D, X)
     if not targets:
@@ -122,32 +135,18 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     xset = set(members)
     others = [v for v in range(D.n) if v not in xset]
     round_of: dict[Edge, int] = {}
-    samples: list[set[int]] = []
-    uncolored = len(targets)
     rounds = 0
-    while rounds < nominal or (uncolored and rounds < limit):
+    while rounds < nominal or (len(round_of) < len(targets) and rounds < limit):
         rounds += 1
         sample = {a for a in others if rng.random() < prob}
-        samples.append(sample)
         for arc in _sole_hits(D, members, sample).items():
-            if arc not in round_of:
-                uncolored -= 1
             round_of[arc] = rounds
-    if uncolored:
+    if len(round_of) < len(targets):
         raise RoundLimitExceededError(
-            f"{uncolored} arcs uncolored after {rounds} rounds (seed {rng_seed})"
+            f"{len(targets) - len(round_of)} arcs uncolored after {rounds} rounds "
+            f"(seed {rng_seed})"
         )
-
-    by_round: dict[int, list[Edge]] = {}
-    for arc, c in round_of.items():
-        by_round.setdefault(c, []).append(arc)
-
-    colored: dict[Edge, tuple[int, int]] = {}
-    for c in sorted(by_round):
-        shades = _shades(D, samples[c - 1], dict(by_round[c]))
-        for x, a in by_round[c]:
-            colored[normalize_edge(x, a)] = (c, shades[a])
-    return EdgeColoring(canonical_color_ids(colored))
+    return _shade_rounds(D, round_of)
 
 
 def color_arcs_deterministic(
@@ -161,9 +160,11 @@ def color_arcs_deterministic(
     hcol must give distinct colors to the out-neighborhood of every x in X
     (a proper coloring of the graph joining co-out-neighbors), with colors
     inside the family's universe, and the family's separation order must be
-    at least the largest out-degree in X.  Each family member P_i selects
-    the x with exactly one out-neighbor colored inside P_i; an auxiliary
-    graph supplies the shade, and later members overwrite earlier colors.
+    at least the largest out-degree in X.  Each family member P_i is one
+    round: it selects the x with exactly one out-neighbor colored inside
+    P_i and colors that arc with i, later members overwriting earlier ones.
+    The same final pass as color_arcs_randomized (_shade_rounds) then splits
+    each round into shades over the heads of the arcs that kept it.
     """
     members, arcs = _out_arcs_of_independent(D, X)
     if not arcs:
@@ -191,21 +192,14 @@ def color_arcs_deterministic(
             )
 
     heads = {a for _, a in arcs}
-    pending: dict[Edge, tuple[int, int]] = {}
+    round_of: dict[Edge, int] = {}
     for i, subset in enumerate(family.sets, start=1):
-        chosen = _sole_hits(D, members, {a for a in heads if hcol[a] in subset})
-        if not chosen:
-            continue
-        shades = _shades(D, set(chosen.values()), chosen)
-        for x, z in chosen.items():
-            pending[(x, z)] = (i, shades[z])
-
-    if len(pending) != len(arcs):
-        missing = sorted(set(arcs) - set(pending))
+        for arc in _sole_hits(D, members, {a for a in heads if hcol[a] in subset}).items():
+            round_of[arc] = i
+    if len(round_of) != len(arcs):
+        missing = sorted(set(arcs) - set(round_of))
         raise FamilyTooWeakError(f"family left {len(missing)} arcs uncolored, e.g. {missing[:3]}")
-    return EdgeColoring(
-        canonical_color_ids({normalize_edge(x, a): c for (x, a), c in pending.items()})
-    )
+    return _shade_rounds(D, round_of)
 
 
 def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeColoring:
@@ -216,15 +210,14 @@ def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeCol
     under disjoint color namespaces.  With degeneracy d and maximum degree
     at least 3 this uses at most ceil(4*e*d*ln(max_degree))*(2d+1)*(d+1)
     colors.  Graphs of maximum degree at most 2 (disjoint paths and cycles)
-    fall back to the exact solver.
+    get an optimal coloring in closed form (_color_paths_and_cycles).
     """
     if G.n == 0:
         raise ValueError("graph must be nonempty")
     if G.m == 0:
         return EdgeColoring({})
     if G.max_degree <= 2:
-        budget = OracleBudget(max_vertices=max(12, G.n), max_edges=max(24, G.m), timeout=60.0)
-        return exact_injective_coloring(G, budget)
+        return _color_paths_and_cycles(G)
     ordering = degeneracy_order(G)
     D = orient_by_ordering(G, ordering)
     coloring, _ = color_greedy_classes(
@@ -232,6 +225,44 @@ def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeCol
         lambda cls, X: color_arcs_randomized(D, X, derive_seed(rng_seed, cls)),
     )
     return coloring
+
+
+def _color_paths_and_cycles(G: UndirectedGraph) -> EdgeColoring:
+    """Optimal injective coloring of a graph of maximum degree at most 2.
+
+    Only edges two steps apart on a path or cycle conflict.  Each component's
+    edges e_0, e_1, ... in walk order are colored along the chains
+    e_i, e_{i+2}, ... alternating 1 and 2, i.e. in the pattern 1,1,2,2, so a
+    path uses 1 color up to 2 edges and 2 beyond.  On a cycle C_k the chains
+    close up; one of odd length (k not divisible by 4) ends in color 3.
+    These counts are optimal (Cardoso et al., Filomat 2019).
+    """
+    colors: dict[Edge, int] = {}
+    seen = [False] * G.n
+    ends = [v for v in range(G.n) if G.degree(v) == 1]
+    for s in ends + list(range(G.n)):
+        if seen[s] or not G.degree(s):
+            continue
+        seen[s] = True
+        walk = [s]
+        v = s
+        while nxt := [w for w in G.neighbors(v) if not seen[w]]:
+            v = min(nxt)
+            seen[v] = True
+            walk.append(v)
+        edges = list(zip(walk, walk[1:]))
+        closed = G.degree(s) == 2
+        if closed:
+            edges.append((walk[-1], s))
+        k = len(edges)
+        for i, (u, v) in enumerate(edges):
+            if closed and k % 2:  # one chain: e_0, e_2, ..., e_{k-1}, e_1, ..., e_{k-2}
+                t, length = (i + k * (i % 2)) // 2, k
+            else:  # chains of the even and of the odd positions
+                t, length = i // 2, k // 2
+            ends_odd_chain = closed and length % 2 == 1 and t == length - 1
+            colors[normalize_edge(u, v)] = 3 if ends_odd_chain else 1 + t % 2
+    return EdgeColoring(colors)
 
 
 def color_greedy_classes(

@@ -98,11 +98,12 @@ def _greedy_clique(comp: list[int], adj: list[set[int]]) -> list[int]:
     return clique
 
 
-def _dsatur_greedy(comp: list[int], adj: list[set[int]]) -> dict[int, int]:
+def _dsatur_greedy(comp: list[int], adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
     colors: dict[int, int] = {}
     sat: dict[int, set[int]] = {v: set() for v in comp}
     uncolored = set(comp)
     while uncolored:
+        deadline.check()
         v = max(uncolored, key=lambda u: (len(sat[u]), len(adj[u]), -u))
         c = 1
         while c in sat[v]:
@@ -182,7 +183,7 @@ def _solve_component(comp: list[int], adj: list[set[int]], deadline: _Deadline) 
     two = _bipartite_coloring(comp, adj)
     if two is not None:
         return two
-    greedy = _dsatur_greedy(comp, adj)
+    greedy = _dsatur_greedy(comp, adj, deadline)
     ub = len(set(greedy.values()))
     clique = _greedy_clique(comp, adj)
     lb = max(3, len(clique))

@@ -209,3 +209,15 @@ def test_runtime_failures_exit_1_with_json_error(monkeypatch, error):
     monkeypatch.setattr(cli, "build_separating_family", fail)
     code, out = run(["family", "--k", "5", "--r", "2"])
     assert code == 1 and json.loads(out) == {"error": "construction gave up"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["inj-degenerate", "--g", "4"],
+    ["subdivide", "--seed", "1"],
+    ["inj-genus", "--g", "4", "--unverified-full"],
+    ["exact", "--param", "inj", "--seed", "1"],
+    ["inj-degenerate", "--budget-n", "3"],
+])
+def test_flags_only_on_subcommands_that_read_them(argv):
+    code, out = run(argv, emit_graph(complete_graph(8)))
+    assert code == 1 and "error" in json.loads(out)

@@ -9,6 +9,7 @@ from injcolor import (
     EdgeColoring,
     FamilyTooWeakError,
     InvalidColoringError,
+    OracleBudget,
     OrientedGraph,
     UndirectedGraph,
     VertexColoring,
@@ -19,10 +20,12 @@ from injcolor import (
     cycle,
     degeneracy_order,
     exact_injective_index,
+    greedy_color,
     injective_color_degenerate,
     injective_color_subdivision,
     is_induced_star_forest,
     neighborhood_hypergraph,
+    normalize_edge,
     orient_by_ordering,
     path,
     peel_color_clique_graph,
@@ -30,6 +33,7 @@ from injcolor import (
     subdivide,
     verify_injective,
 )
+from injcolor import oracles
 from .bruteforce import injective_assignment_valid
 
 
@@ -145,7 +149,7 @@ def test_degenerate_pipeline_examples():
     assert coloring.k >= exact_injective_index(K4)
 
     P4 = path(4)
-    assert injective_color_degenerate(P4, 0).k == 2  # oracle fallback
+    assert injective_color_degenerate(P4, 0).k == 2  # closed form for max degree <= 2
 
     G = random_degenerate_graph(200, 2, 11)
     assert G.max_degree >= 3
@@ -153,6 +157,63 @@ def test_degenerate_pipeline_examples():
     assert verify_injective(G, coloring)
     bound = math.ceil(8 * math.e * math.log(G.max_degree)) * 5 * 3
     assert coloring.k <= bound
+
+
+def test_paths_and_cycles_match_the_exact_index(monkeypatch):
+    budget = OracleBudget(max_vertices=21, max_edges=21, timeout=60.0)
+    graphs = [path(k + 1) for k in range(1, 13)] + [cycle(k) for k in range(3, 22)]
+    # C5, a 3-edge path, a single edge and two isolated vertices
+    graphs.append(UndirectedGraph(13, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
+                                       (5, 6), (6, 7), (7, 8), (9, 10)]))
+    for G in graphs:
+        coloring = injective_color_degenerate(G, 0)
+        assert verify_injective(G, coloring)
+        assert coloring.k == exact_injective_index(G, budget)
+
+    def no_oracle(*args):
+        raise AssertionError("the exact solver was called")
+
+    monkeypatch.setattr(oracles, "_solve_chromatic", no_oracle)
+    big = cycle(12001)
+    coloring = injective_color_degenerate(big, 0)
+    assert coloring.k == 3 and verify_injective(big, coloring)
+
+
+@st.composite
+def oriented_graphs(draw):
+    """A small arbitrarily oriented graph and a seed."""
+    n = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
+    return OrientedGraph(n, arcs), draw(st.integers(min_value=0, max_value=2**16))
+
+
+@settings(max_examples=200, deadline=None)
+@given(oriented_graphs())
+def test_arc_colorers_color_every_greedy_class_injectively(case):
+    """Both colorers color exactly the arcs out of each greedy class X, and
+    the pairwise definition accepts the result.  The deterministic colorer
+    gets its head coloring and family as in acceptance criterion 5."""
+    D, seed = case
+    G = D.underlying()
+    proper = greedy_color(G, degeneracy_order(G))
+    for cls in sorted(set(proper.colors.values())):
+        X = [v for v in range(G.n) if proper[v] == cls]
+        expected = {normalize_edge(*a) for a in D.arcs_out_of(X)}
+        parts = [color_arcs_randomized(D, X, seed)]
+        if expected:
+            hyper, originals = neighborhood_hypergraph(D, X)
+            dense = peel_color_clique_graph(hyper)
+            hcol = VertexColoring({originals[j]: c for j, c in dense.colors.items()})
+            d = max(D.out_degree(x) for x in X)
+            family = build_separating_family(hcol.k, max(2, d), seed)
+            parts.append(color_arcs_deterministic(D, X, hcol, family))
+        for part in parts:
+            assert part.domain() == expected
+            assert injective_assignment_valid(
+                G.n, G.edges(), {frozenset(e): c for e, c in part.colors.items()}
+            )
 
 
 def test_degenerate_pipeline_determinism():

@@ -24,7 +24,7 @@ from injcolor import (
     verify_injective,
     verify_oriented_coloring,
 )
-from injcolor.oracles import _conflict_adjacency, _Deadline
+from injcolor.oracles import _conflict_adjacency, _Deadline, _dsatur_greedy
 from .bruteforce import min_2dipath, min_chromatic, min_injective_colors, min_oriented
 
 
@@ -160,3 +160,11 @@ def test_conflict_adjacency_matches_pairwise_scan():
         # Equal sets built in the same insertion order iterate alike, which
         # keeps the solver's search, and so its coloring, unchanged.
         assert [list(s) for s in adj] == [list(s) for s in expected]
+
+
+def test_dsatur_greedy_honors_the_deadline():
+    n = 1024  # _Deadline reads the clock once per 512 checks
+    adj = [{(v - 1) % n, (v + 1) % n} for v in range(n)]
+    assert len(set(_dsatur_greedy(list(range(n)), adj, _Deadline(60.0)).values())) == 2
+    with pytest.raises(BudgetExceededError):
+        _dsatur_greedy(list(range(n)), adj, _Deadline(-1.0))
