@@ -77,8 +77,8 @@ def _build_parser() -> _CliParser:
     p = _subcommand(sub, "exact")
     p.add_argument("--param", choices=("inj", "chromatic", "oriented", "2dipath"),
                    required=True)
-    p.add_argument("--budget-n", type=int, default=None)
-    p.add_argument("--budget-m", type=int, default=None)
+    p.add_argument("--budget-n", type=int, default=OracleBudget.max_vertices)
+    p.add_argument("--budget-m", type=int, default=OracleBudget.max_edges)
 
     p = _subcommand(sub, "oriented-from-inj")
     p.add_argument("--coloring", required=True, help="edge-coloring JSON file")
@@ -103,15 +103,6 @@ def _build_parser() -> _CliParser:
     p.add_argument("--d", type=int, required=True)
 
     return parser
-
-
-def _budget(args) -> OracleBudget:
-    default = OracleBudget()
-    return OracleBudget(
-        max_vertices=args.budget_n if args.budget_n is not None else default.max_vertices,
-        max_edges=args.budget_m if args.budget_m is not None else default.max_edges,
-        timeout=default.timeout,
-    )
 
 
 def _need_genus(args) -> int:
@@ -170,7 +161,7 @@ _GENUS_COMMANDS = {
 def _dispatch(args, read_stdin: Callable[[], str]) -> tuple[int, dict | str]:
     cmd = args.command
     if cmd == "exact":
-        budget = _budget(args)
+        budget = OracleBudget(max_vertices=args.budget_n, max_edges=args.budget_m)
         graph = parse_graph(read_stdin())
         if args.param in ("inj", "chromatic"):
             if not isinstance(graph, UndirectedGraph):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, field
 
+from .errors import BudgetExceededError
 from .graphs import (
     EdgeColoring,
     OrientedGraph,
@@ -24,12 +25,10 @@ from .graphs import (
 )
 from .hypergraphs import neighborhood_hypergraph, peel_color_clique_graph
 from .injective import color_arcs_deterministic, color_greedy_classes, verify_injective
-from .oracles import BudgetExceededError
 from .oriented import (
     add_unique_colors,
     build_full_graph,
     coloring_from_homomorphism,
-    full_part_size,
     greedy_2dipath,
     homomorphism_to_full,
     oriented_from_injective,
@@ -39,7 +38,6 @@ from .oriented import (
 from .rng import derive_seed
 from .separating import build_separating_family
 
-DEFAULT_FULL_ORDER_BUDGET = 2
 ORIENTED_BOUND_CONSTANT = 2**20
 
 
@@ -169,17 +167,14 @@ def _color_genus_class(
     return color_arcs_deterministic(D, X, hcol, family), hcol.k
 
 
-def _split_after_6g(D: OrientedGraph, G: UndirectedGraph, ordering: VertexOrdering, genus: int):
+def _split_after_6g(D: OrientedGraph, ordering: VertexOrdering, genus: int):
     order = ordering.order
     v1 = set(order[: 6 * genus])
     v2 = list(order[6 * genus:])
-    stripped = UndirectedGraph(
-        G.n, [(u, v) for u, v in G.edges() if u not in v1 or v not in v1]
-    )
     restricted = OrientedGraph(
         D.n, [(a, b) for a, b in D.arcs() if a not in v1 or b not in v1]
     )
-    return v1, v2, stripped, restricted
+    return v1, v2, restricted
 
 
 def oriented_color_genus(
@@ -208,8 +203,8 @@ def oriented_color_genus(
                    "small_instance": True},
         )
 
-    v1, v2, stripped, restricted = _split_after_6g(D, G, ordering, genus)
-    aux = orient_by_ordering(stripped, ordering)
+    v1, v2, restricted = _split_after_6g(D, ordering, genus)
+    aux = orient_by_ordering(restricted.underlying(), ordering)
     proper = greedy_color(G, ordering)
     _check_class_caps(aux, v2, proper, 7, 6, genus)
     inj, phase_colors = color_greedy_classes(
@@ -245,42 +240,40 @@ def oriented_color_genus_via_2dipath(
     After stripping the edges inside the first 6g vertices, the remainder is
     greedily 2-dipath colored with k colors (padded up to 5) and embedded by
     homomorphism into a (k, d)-full target, d being the stripped graph's
-    degeneracy.  Certified targets require d <= DEFAULT_FULL_ORDER_BUDGET,
-    since exhaustive fullness verification scales as (k*N)^d; beyond that the
-    operation refuses unless uncertified sampling is explicitly allowed.
+    degeneracy.  build_full_graph certifies targets only up to
+    oriented.FULL_ORDER_BUDGET and raises BudgetExceededError beyond it; the
+    pipeline then re-raises that refusal unless allow_uncertified_full asks
+    for an uncertified sampled target instead.
     """
     G = D.underlying()
     ordering, heawood = _genus_ordering(G, genus)
-    v1, v2, stripped, restricted = _split_after_6g(D, G, ordering, genus)
+    v1, v2, restricted = _split_after_6g(D, ordering, genus)
 
     phase_colors: dict[str, int] = {}
     stats: dict[str, object] = {"seed": rng_seed, "degeneracy": ordering.d,
                                 "heawood_bound": heawood, "certified_target": True}
     k = 5
-    if stripped.m == 0:
+    if restricted.m == 0:
         base = VertexColoring({v: 1 for v in range(D.n)})
         stats["route"] = "edgeless"
     else:
         psi = greedy_2dipath(restricted)
         k = max(5, psi.k)
         stats["two_dipath_colors"] = psi.k
-        inner_ordering = degeneracy_order(stripped)
+        inner_ordering = degeneracy_order(restricted.underlying())
         order_needed = max(2, inner_ordering.d)
         stats["full_order"] = order_needed
-        if order_needed <= DEFAULT_FULL_ORDER_BUDGET:
+        try:
             target = build_full_graph(k, order_needed, derive_seed(rng_seed, 1))
             stats["route"] = "certified_full_graph"
-        elif allow_uncertified_full:
+        except BudgetExceededError as exc:
+            if not allow_uncertified_full:
+                raise BudgetExceededError(
+                    f"{exc}  Pass allow_uncertified_full to sample an uncertified target."
+                ) from None
             target = sample_full_orientation(k, order_needed, derive_seed(rng_seed, 1))
             stats["certified_target"] = False
             stats["route"] = "uncertified_full_graph"
-        else:
-            raise BudgetExceededError(
-                f"sign-pattern order {order_needed} exceeds the verification budget "
-                f"{DEFAULT_FULL_ORDER_BUDGET}; part size would be "
-                f"{full_part_size(k, order_needed)}.  Pass allow_uncertified_full "
-                "to sample an uncertified target."
-            )
         mapping = homomorphism_to_full(restricted, inner_ordering, psi, target)
         base = coloring_from_homomorphism(mapping)
         phase_colors["target_parts"] = target.k

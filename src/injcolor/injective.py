@@ -298,24 +298,17 @@ def color_greedy_classes(
     return EdgeColoring(merged), phase_colors
 
 
-def _subdivide_with_midpoints(G: UndirectedGraph) -> tuple[UndirectedGraph, dict[Edge, int]]:
-    midpoints: dict[Edge, int] = {}
-    new_edges: list[Edge] = []
-    for i, (u, v) in enumerate(G.edges()):
-        w = G.n + i
-        midpoints[(u, v)] = w
-        new_edges.append((u, w))
-        new_edges.append((w, v))
-    return UndirectedGraph(G.n + G.m, new_edges), midpoints
-
-
 def subdivide(G: UndirectedGraph) -> UndirectedGraph:
     """Replace each edge uv by a path u-w-v through a fresh midpoint.
 
     Midpoints are numbered n, n+1, ... in lexicographic edge order.
     """
-    graph, _ = _subdivide_with_midpoints(G)
-    return graph
+    new_edges: list[Edge] = []
+    for i, (u, v) in enumerate(G.edges()):
+        w = G.n + i
+        new_edges.append((u, w))
+        new_edges.append((w, v))
+    return UndirectedGraph(G.n + G.m, new_edges)
 
 
 def injective_color_subdivision(G: UndirectedGraph, proper: VertexColoring) -> EdgeColoring:
@@ -334,20 +327,16 @@ def injective_color_subdivision(G: UndirectedGraph, proper: VertexColoring) -> E
             raise InvalidColoringError("coloring must cover every vertex")
         if cu == cv:
             raise InvalidColoringError(f"edge ({u}, {v}) is monochromatic")
-    graph2, midpoints = _subdivide_with_midpoints(G)
-    if G.m == 0:
-        return EdgeColoring({})
     codes = canonical_color_ids(proper.colors)
     assign: dict[Edge, tuple[int, int]] = {}
-    for u, v in G.edges():
+    for j, (u, v) in enumerate(G.edges()):
         cu = codes[u] - 1
         cv = codes[v] - 1
         diff = cu ^ cv
         i = (diff & -diff).bit_length() - 1
-        w = midpoints[(u, v)]
+        w = G.n + j  # the midpoint subdivide gives the j-th edge
         assign[normalize_edge(u, w)] = (i, (cu >> i) & 1)
         assign[normalize_edge(w, v)] = (i, (cv >> i) & 1)
-    assert graph2.m == len(assign)
     return EdgeColoring(canonical_color_ids(assign))
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .errors import InjcolorError
+from .errors import BudgetExceededError
 from .graphs import (
     Edge,
     EdgeColoring,
@@ -34,10 +34,6 @@ DEFAULT_BUDGET = OracleBudget()
 # Orientation enumeration doubles per edge; above this the caller must
 # supply an orientation.
 MAX_ORIENTATION_EDGES = 10
-
-
-class BudgetExceededError(RuntimeError, InjcolorError):
-    pass
 
 
 class _Deadline:

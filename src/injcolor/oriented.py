@@ -12,9 +12,10 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import InjcolorError
+from .errors import BudgetExceededError, InjcolorError
 from .graphs import (
     EdgeColoring,
     OrientedGraph,
@@ -29,6 +30,7 @@ from .injective import InvalidColoringError
 from .rng import pair_bit
 
 FULL_BUILD_ATTEMPTS = 64
+FULL_ORDER_BUDGET = 2  # the largest order d that build_full_graph certifies
 
 
 class FullGraphConstructionError(RuntimeError, InjcolorError):
@@ -139,14 +141,6 @@ class FullGraph(FullTarget):
     def arc_count(self) -> int:
         return sum(m.bit_count() for m in self._out)
 
-    def arcs(self):
-        for u in range(self.n):
-            rest = self._out[u]
-            while rest:
-                low = rest & -rest
-                yield (u, low.bit_length() - 1)
-                rest ^= low
-
 
 class SampledFullOrientation(FullTarget):
     """Implicit random orientation of a complete k-partite graph.
@@ -182,11 +176,18 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
 
     The failure probability of a single draw is bounded by
     k * (k*N)^d * 2^d * exp(-N / 2^d), which is far below 1 for k >= 5 and
-    d >= 2, so redraws are rare.
+    d >= 2, so redraws are rare.  Orders d above FULL_ORDER_BUDGET raise
+    BudgetExceededError before anything is drawn: verify_full could not
+    finish on them (at d = 3, N is already 825 for k = 5).
     """
     if k < 5 or d < 2:
         raise ValueError("requires k >= 5 and d >= 2")
     part_size = full_part_size(k, d)
+    if d > FULL_ORDER_BUDGET:
+        raise BudgetExceededError(
+            f"sign-pattern order {d} exceeds the verification budget "
+            f"{FULL_ORDER_BUDGET}; part size would be {part_size}."
+        )
     n = k * part_size
     rng = random.Random(rng_seed)
     for _ in range(FULL_BUILD_ATTEMPTS):
@@ -222,7 +223,13 @@ def verify_full(H: FullGraph) -> bool:
 
     For every part i, every ordered tuple of d distinct vertices outside it,
     and every vector q in {-1, +1}^d, some x in part i must have arcs whose
-    directions match q entrywise.
+    directions match q entrywise; a part with fewer than d outside vertices
+    holds vacuously.  The check fixes d - 1 of the vertices as an unordered
+    prefix with its signs: their common witnesses form a pool W inside part
+    i, and every choice of the last vertex and sign succeeds iff the union
+    of W's out-masks and the union of W's in-masks each cover every other
+    outside vertex.  That is C(n - N, d - 1) * 2^(d - 1) pool scans per
+    part, which is why build_full_graph stops at FULL_ORDER_BUDGET.
     """
     n, N, k, d = H.n, H.N, H.k, H.d
     if N < 1:
@@ -230,49 +237,31 @@ def verify_full(H: FullGraph) -> bool:
     out_masks = H._out
     in_masks = _in_masks(H)
     all_mask = (1 << n) - 1
-
-    if d == 2:
-        # For a fixed u and sign toward u, the witness pool W inside the part
-        # is fixed; the pairs (u, v) for all v succeed iff the union of the
-        # witnesses' out- and in-masks covers every other outside vertex.
-        for part in range(k):
-            pmask = ((1 << N) - 1) << (part * N)
-            outside = all_mask & ~pmask
-            for u in range(n):
-                if u // N == part:
-                    continue
-                required = outside & ~(1 << u)
-                for pool in (in_masks[u] & pmask, out_masks[u] & pmask):
-                    if pool == 0:
-                        return False
-                    cover_out = 0
-                    cover_in = 0
-                    rest = pool
-                    while rest:
-                        low = rest & -rest
-                        x = low.bit_length() - 1
-                        cover_out |= out_masks[x]
-                        cover_in |= in_masks[x]
-                        if not (required & ~cover_out) and not (required & ~cover_in):
-                            break
-                        rest ^= low
-                    else:
-                        return False
-        return True
-
-    from itertools import combinations, product
-
     for part in range(k):
         pmask = ((1 << N) - 1) << (part * N)
-        outside = [v for v in range(n) if v // N != part]
-        for combo in combinations(outside, d):
-            choices = [(in_masks[u] & pmask, out_masks[u] & pmask) for u in combo]
-            for signs in product((0, 1), repeat=d):
-                m = pmask
-                for (plus, minus), s in zip(choices, signs):
-                    m &= plus if s == 0 else minus
-                    if m == 0:
-                        return False
+        outside = all_mask & ~pmask
+        others = [v for v in range(n) if v // N != part]
+        if len(others) < d:
+            continue
+        for prefix in combinations(others, d - 1):
+            required = outside
+            pools = [pmask]
+            for u in prefix:
+                required &= ~(1 << u)
+                pools = [pool & mask for pool in pools for mask in (in_masks[u], out_masks[u])]
+            for pool in pools:
+                cover_out = 0
+                cover_in = 0
+                while pool:
+                    low = pool & -pool
+                    x = low.bit_length() - 1
+                    cover_out |= out_masks[x]
+                    cover_in |= in_masks[x]
+                    if not (required & ~cover_out) and not (required & ~cover_in):
+                        break
+                    pool ^= low
+                else:
+                    return False
     return True
 
 

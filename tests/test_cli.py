@@ -1,6 +1,9 @@
 import json
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injcolor import (
     BudgetExceededError,
@@ -50,6 +53,54 @@ def test_graph_round_trip():
         assert parse_graph(emit_graph(G)) == G
     D = random_orientation(cycle(6), 1)
     assert parse_graph(emit_graph(D)) == D
+
+
+@st.composite
+def any_graphs(draw):
+    """An undirected or an arbitrarily oriented graph on up to 10 vertices."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        return UndirectedGraph(n, edges)
+    return OrientedGraph(n, [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges])
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_graphs())
+def test_emit_parse_round_trip(G):
+    parsed = parse_graph(emit_graph(G))
+    assert type(parsed) is type(G) and parsed == G
+
+
+_EDGE = "p edge 2 1\ne 1 2\n"
+_EDGE_COLORING = {"kind": "edge", "k": 1, "assign": [[1, 2, 1]]}
+
+
+@pytest.mark.parametrize("graph, coloring, message", [
+    ("p edge 2 1\np edge 2 1\ne 1 2\n", _EDGE_COLORING, "duplicate problem line"),
+    ("p edge 2\ne 1 2\n", _EDGE_COLORING, "expected 'p edge n m'"),
+    ("p graph 2 1\ne 1 2\n", _EDGE_COLORING, "expected 'p edge n m'"),
+    ("p edge two 1\ne 1 2\n", _EDGE_COLORING, "n and m must be integers"),
+    ("p edge 2 -1\ne 1 2\n", _EDGE_COLORING, "n and m must be nonnegative"),
+    ("p edge 2 1\ne 1 2 2\n", _EDGE_COLORING, "expected two endpoints"),
+    ("p edge 2 1\ne 1 x\n", _EDGE_COLORING, "endpoints must be integers"),
+    ("p edge 2 1\ne 1 3\n", _EDGE_COLORING, "endpoint outside 1..2"),
+    ("p edge 2 1\ne 0 2\n", _EDGE_COLORING, "endpoint outside 1..2"),
+    ("c no problem line\n", _EDGE_COLORING, "missing problem line"),
+    (_EDGE, {"kind": "edge", "k": 1}, "coloring JSON missing field"),
+    (_EDGE, [[1, 2, 1]], "coloring JSON missing field"),
+    (_EDGE, {"kind": "edge", "k": 1, "assign": [[1, 2]]}, "must be [u, v, color]"),
+    (_EDGE, {"kind": "vertex", "k": 1, "assign": [[1]]}, "must be [v, color]"),
+    (_EDGE, {"kind": "face", "k": 1, "assign": []}, "unknown coloring kind"),
+])
+def test_malformed_input_exits_1_with_json_error(tmp_path, graph, coloring, message):
+    gpath = tmp_path / "graph.gr"
+    cpath = tmp_path / "coloring.json"
+    gpath.write_text(graph)
+    cpath.write_text(json.dumps(coloring))
+    code, out = run(["verify", "--kind", "inj", str(cpath), str(gpath)])
+    assert code == 1 and message in json.loads(out)["error"]
 
 
 def test_coloring_json_round_trip():
@@ -184,6 +235,13 @@ def test_family_and_full_graph_subcommands():
     assert code == 0 and obj["part_size"] == 104 and obj["verified"]
     code, out = run(["full-graph", "--k", "4", "--d", "2"])
     assert code == 1
+
+
+def test_full_graph_over_budget_is_refused_at_once():
+    start = time.perf_counter()
+    code, out = run(["full-graph", "--k", "5", "--d", "3"])
+    assert code == 1 and "exceeds the verification budget" in json.loads(out)["error"]
+    assert time.perf_counter() - start < 1
 
 
 def test_text_format():

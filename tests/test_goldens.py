@@ -73,7 +73,7 @@ def _cases(tmp: Path):
     yield "exact-over-budget", ["exact", "--param", "chromatic", "--budget-n", "3"], k4
 
     yield "inj-degenerate-3deg", ["inj-degenerate", "--seed", "3"], degen3
-    yield "inj-degenerate-path-oracle", ["inj-degenerate"], emit_graph(path(10))
+    yield "inj-degenerate-path-closed-form", ["inj-degenerate"], emit_graph(path(10))
     yield "inj-degenerate-text", ["inj-degenerate", "--seed", "7", "--format", "text"], k4
     yield "inj-degenerate-comments", ["inj-degenerate"], "c a comment\nc\n" + k4
 
@@ -143,6 +143,7 @@ def _cases(tmp: Path):
     yield "family", ["family", "--k", "5", "--r", "2", "--seed", "0"], ""
     yield "full-graph", ["full-graph", "--k", "5", "--d", "2", "--seed", "0"], ""
     yield "full-graph-small-k", ["full-graph", "--k", "4", "--d", "2"], ""
+    yield "full-graph-over-budget", ["full-graph", "--k", "5", "--d", "3"], ""
 
 
 def _digests(tmp: Path) -> dict[str, str]:

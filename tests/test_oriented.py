@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from injcolor import (
+    BudgetExceededError,
     EdgeColoring,
     FullGraph,
     InvalidColoringError,
@@ -111,6 +112,9 @@ def test_build_full_graph_rejects_small_parameters():
         build_full_graph(4, 2)
     with pytest.raises(ValueError):
         build_full_graph(5, 1)
+    # refused before any arc is drawn: N would be 825 and verification endless
+    with pytest.raises(BudgetExceededError, match="part size would be 825"):
+        build_full_graph(5, 3)
 
 
 def test_full_graph_structure():
@@ -150,8 +154,17 @@ def test_verify_full_counterexamples():
         out[v] &= ~pmask
     assert not verify_full(FullGraph(5, H.N, 2, out))
 
+    # remove the single pattern "x -> u and x -> v" for one pair outside part 0
+    out = list(H._out)
+    u, v = H.N, 2 * H.N
+    for x in range(H.N):
+        if out[x] >> u & 1 and out[x] >> v & 1:
+            out[x] &= ~(1 << v)
+            out[v] |= 1 << x
+    assert not verify_full(FullGraph(5, H.N, 2, out))
 
-def test_generic_verifier_matches_fast_path():
+
+def test_verify_full_matches_brute_force():
     from itertools import permutations, product
 
     def brute(H):
@@ -171,9 +184,11 @@ def test_generic_verifier_matches_fast_path():
         return True
 
     rng = random.Random(9)
-    for _ in range(25):
-        k = rng.choice([3, 4])
-        N = rng.choice([2, 4, 8, 16])
+    verdicts = set()
+    for _ in range(60):
+        k = rng.choice([2, 3, 4])
+        N = rng.choice([2, 4, 8, 16, 32])
+        d = rng.choice([1, 2, 3])
         n = k * N
         out = [0] * n
         for u in range(n):
@@ -182,8 +197,14 @@ def test_generic_verifier_matches_fast_path():
                     out[u] |= 1 << v
                 else:
                     out[v] |= 1 << u
-        H = FullGraph(k, N, 2, out)
-        assert verify_full(H) == brute(H)
+        H = FullGraph(k, N, d, out)
+        verdict = verify_full(H)
+        assert verdict == brute(H)
+        verdicts.add((d, verdict))
+    assert {(1, True), (1, False), (2, True), (2, False), (3, False)} <= verdicts
+    # fewer than d vertices outside each part: every pattern holds vacuously
+    for H in (FullGraph(2, 1, 2, [0b10, 0]), FullGraph(2, 2, 3, [0b1100, 0b1100, 0, 0])):
+        assert verify_full(H) and brute(H)
 
 
 def test_homomorphism_edgeless():
