@@ -2,7 +2,7 @@
 bounded-genus graphs, with exact oracles and verifiers certifying every
 output at desk scale."""
 
-from .errors import InjcolorError
+from .errors import BudgetExceededError, InjcolorError, InvalidColoringError
 from .graphs import (
     EdgeColoring,
     OrientedGraph,
@@ -16,9 +16,9 @@ from .graphs import (
     is_induced_star_forest,
     normalize_edge,
     orient_by_ordering,
+    two_dipath_constraint_graph,
 )
 from .oracles import (
-    BudgetExceededError,
     OracleBudget,
     exact_2dipath_number,
     exact_chromatic_coloring,
@@ -27,7 +27,6 @@ from .oracles import (
     exact_injective_index,
     exact_oriented_coloring,
     exact_oriented_number,
-    exact_oriented_number_all_orientations,
 )
 from .separating import (
     FamilyConstructionError,
@@ -39,14 +38,11 @@ from .separating import (
 from .hypergraphs import (
     Hypergraph,
     clique_graph,
-    genus_edge_report,
-    levi_graph,
     neighborhood_hypergraph,
     peel_color_clique_graph,
 )
 from .injective import (
     FamilyTooWeakError,
-    InvalidColoringError,
     RoundLimitExceededError,
     color_arcs_deterministic,
     color_arcs_randomized,
@@ -68,8 +64,6 @@ from .oriented import (
     homomorphism_to_full,
     oriented_from_injective,
     sample_full_orientation,
-    sign_vector,
-    two_dipath_constraint_graph,
     verify_2dipath,
     verify_full,
     verify_homomorphism,

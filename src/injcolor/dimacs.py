@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from .graphs import EdgeColoring, OrientedGraph, UndirectedGraph, VertexColoring
 
+MAX_VERTICES = 10**6  # a larger n would allocate one adjacency set per vertex
+
 
 class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None) -> None:
@@ -39,6 +41,8 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
                 raise ParseError("n and m must be integers", lineno) from None
             if n < 0 or m < 0:
                 raise ParseError("n and m must be nonnegative", lineno)
+            if n > MAX_VERTICES:
+                raise ParseError(f"n exceeds the limit {MAX_VERTICES}", lineno)
             mode = fields[1]
         elif fields[0] in ("e", "a"):
             if mode is None:

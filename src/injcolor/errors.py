@@ -1,5 +1,5 @@
-"""The common base of the package's runtime failures, and the budget error
-shared by the exact oracles and the full-graph builder."""
+"""The common base of the package's runtime failures, the budget error of the
+oracles and the size-bounded builders, and the invalid-coloring error."""
 
 
 class InjcolorError(Exception):
@@ -11,4 +11,8 @@ class InjcolorError(Exception):
 
 
 class BudgetExceededError(RuntimeError, InjcolorError):
-    """An exhaustive search or check would exceed its size, order or time budget."""
+    """An exhaustive search, check or build would exceed its size, order or time budget."""
+
+
+class InvalidColoringError(ValueError):
+    """A supplied coloring violates the contract the operation relies on."""

@@ -186,23 +186,11 @@ def oriented_color_genus(
     inside V1 removed, every remaining vertex has at most 6 earlier
     neighbors, so the stripped graph gets an injective edge coloring through
     7 deterministic class rounds, which converts to an oriented coloring of
-    the user orientation; finally V1 is recolored with unique colors.
-    Instances with n <= 6g are colored entirely with unique colors.
+    the user orientation; finally V1 is recolored with unique colors.  When
+    n <= 6g, V2 is empty and every vertex gets a unique color 1..n.
     """
     G = D.underlying()
     ordering, heawood = _genus_ordering(G, genus)
-    if G.n <= 6 * genus:
-        unique = VertexColoring({v: v + 1 for v in range(D.n)})
-        return unique, PipelineReport(
-            colors_used=unique.k,
-            v1_size=D.n,
-            v2_size=0,
-            phase_colors={"unique": D.n},
-            checks={"oriented_valid": verify_oriented_coloring(D, unique)},
-            stats={"seed": rng_seed, "degeneracy": ordering.d, "heawood_bound": heawood,
-                   "small_instance": True},
-        )
-
     v1, v2, restricted = _split_after_6g(D, ordering, genus)
     aux = orient_by_ordering(restricted.underlying(), ordering)
     proper = greedy_color(G, ordering)
@@ -240,10 +228,10 @@ def oriented_color_genus_via_2dipath(
     After stripping the edges inside the first 6g vertices, the remainder is
     greedily 2-dipath colored with k colors (padded up to 5) and embedded by
     homomorphism into a (k, d)-full target, d being the stripped graph's
-    degeneracy.  build_full_graph certifies targets only up to
-    oriented.FULL_ORDER_BUDGET and raises BudgetExceededError beyond it; the
-    pipeline then re-raises that refusal unless allow_uncertified_full asks
-    for an uncertified sampled target instead.
+    degeneracy.  build_full_graph certifies targets only up to order
+    oriented.FULL_ORDER_BUDGET and FULL_VERTEX_BUDGET vertices and raises
+    BudgetExceededError beyond them; the pipeline then re-raises that refusal
+    unless allow_uncertified_full asks for an uncertified sampled target.
     """
     G = D.underlying()
     ordering, heawood = _genus_ordering(G, genus)

@@ -1,4 +1,5 @@
-"""Hypergraphs with their Levi and clique graphs, and min-degree peel coloring."""
+"""The out-neighborhood hypergraph of an independent set, its clique graph,
+and the min-degree peel coloring the deterministic arc colorer needs."""
 
 from __future__ import annotations
 
@@ -58,16 +59,6 @@ def neighborhood_hypergraph(D: OrientedGraph, X: Iterable[int]) -> tuple[Hypergr
     return Hypergraph(len(vertices), edges), vertices
 
 
-def levi_graph(H: Hypergraph) -> UndirectedGraph:
-    """Bipartite incidence graph: vertex v adjacent to edge-node n+j iff v in edge j."""
-    edges = []
-    for j, e in enumerate(H.edges):
-        node = H.n + j
-        for v in e:
-            edges.append((v, node))
-    return UndirectedGraph(H.n + len(H.edges), edges)
-
-
 def clique_graph(H: Hypergraph) -> UndirectedGraph:
     """Two vertices adjacent iff they co-occur in some hyperedge."""
     pairs = set()
@@ -101,22 +92,3 @@ def peel_color_clique_graph(H: Hypergraph, genus: int | None = None) -> VertexCo
             )
     return greedy_color(K, ordering)
 
-
-def genus_edge_report(H: Hypergraph, genus: int) -> dict:
-    """Edge-count diagnostics for a hypergraph asserted to have the given genus.
-
-    For genus g >= 2 and edges of size >= 2, Euler-formula counting bounds the
-    number of size-2 edges by 3n + 3g - 6 and the larger edges by 2n + 2g.
-    """
-    relevant = [e for e in H.edges if len(e) >= 2]
-    e2 = sum(1 for e in relevant if len(e) == 2)
-    e3 = len(relevant) - e2
-    return {
-        "vertices": H.n,
-        "size2_edges": e2,
-        "size2_bound": 3 * H.n + 3 * genus - 6,
-        "size2_ok": e2 <= 3 * H.n + 3 * genus - 6,
-        "larger_edges": e3,
-        "larger_bound": 2 * H.n + 2 * genus,
-        "larger_ok": e3 < 2 * H.n + 2 * genus,
-    }

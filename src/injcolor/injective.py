@@ -14,7 +14,7 @@ import math
 import random
 from typing import Callable, Iterable, Sequence
 
-from .errors import InjcolorError
+from .errors import InjcolorError, InvalidColoringError
 from .graphs import (
     Edge,
     EdgeColoring,
@@ -43,10 +43,6 @@ class RoundLimitExceededError(RuntimeError, InjcolorError):
 
 class FamilyTooWeakError(RuntimeError, InjcolorError):
     """A separating family failed to cover some arc, which its invariant forbids."""
-
-
-class InvalidColoringError(ValueError):
-    """A supplied coloring violates the contract the operation relies on."""
 
 
 def _out_arcs_of_independent(D: OrientedGraph, X: Iterable[int]) -> tuple[list[int], list[Edge]]:
@@ -214,8 +210,6 @@ def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeCol
     """
     if G.n == 0:
         raise ValueError("graph must be nonempty")
-    if G.m == 0:
-        return EdgeColoring({})
     if G.max_degree <= 2:
         return _color_paths_and_cycles(G)
     ordering = degeneracy_order(G)

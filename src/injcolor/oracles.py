@@ -31,10 +31,6 @@ class OracleBudget:
 
 DEFAULT_BUDGET = OracleBudget()
 
-# Orientation enumeration doubles per edge; above this the caller must
-# supply an orientation.
-MAX_ORIENTATION_EDGES = 10
-
 
 class _Deadline:
     def __init__(self, timeout: float) -> None:
@@ -174,8 +170,6 @@ def _k_colorable(
 
 
 def _solve_component(comp: list[int], adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
-    if all(not adj[v] for v in comp):
-        return {v: 1 for v in comp}
     two = _bipartite_coloring(comp, adj)
     if two is not None:
         return two
@@ -349,21 +343,3 @@ def exact_oriented_coloring(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUD
 def exact_oriented_number(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     return exact_oriented_coloring(D, budget).k
 
-
-def exact_oriented_number_all_orientations(
-    G: UndirectedGraph, budget: OracleBudget = DEFAULT_BUDGET
-) -> int:
-    """Maximum oriented chromatic number over all 2^m orientations of G."""
-    if G.m > MAX_ORIENTATION_EDGES:
-        raise BudgetExceededError(
-            f"orientation enumeration limited to {MAX_ORIENTATION_EDGES} edges"
-        )
-    edges = G.edges()
-    best = 0
-    for bits in range(1 << len(edges)):
-        arcs = [
-            (u, v) if bits >> i & 1 else (v, u)
-            for i, (u, v) in enumerate(edges)
-        ]
-        best = max(best, exact_oriented_number(OrientedGraph(G.n, arcs), budget))
-    return best

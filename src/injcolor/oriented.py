@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import random
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from .errors import BudgetExceededError, InjcolorError
+from .errors import BudgetExceededError, InjcolorError, InvalidColoringError
 from .graphs import (
     EdgeColoring,
     OrientedGraph,
@@ -26,11 +26,11 @@ from .graphs import (
     greedy_color,
     two_dipath_constraint_graph,
 )
-from .injective import InvalidColoringError
 from .rng import pair_bit
 
 FULL_BUILD_ATTEMPTS = 64
 FULL_ORDER_BUDGET = 2  # the largest order d that build_full_graph certifies
+FULL_VERTEX_BUDGET = 4096  # the most vertices k * N that build_full_graph draws
 
 
 class FullGraphConstructionError(RuntimeError, InjcolorError):
@@ -62,14 +62,16 @@ def oriented_from_injective(D: OrientedGraph, coloring: EdgeColoring) -> VertexC
 def add_unique_colors(D: OrientedGraph, U: Iterable[int], base: VertexColoring) -> VertexColoring:
     """Recolor each vertex of U with a fresh color nobody else uses.
 
+    Fresh colors count up from 1 past the largest base color kept outside U.
     base must be a valid oriented coloring of D with all arcs inside U
     removed; the result is then a valid oriented coloring of D itself.  The
     precondition is not checked here; the pipelines verify the result in
     report.checks.
     """
+    unique = set(U)
     out = dict(base.colors)
-    fresh = max(out.values(), default=0) + 1
-    for u in sorted(set(U)):
+    fresh = max((c for v, c in out.items() if v not in unique), default=0) + 1
+    for u in sorted(unique):
         out[u] = fresh
         fresh += 1
     return VertexColoring(out)
@@ -79,21 +81,6 @@ def greedy_2dipath(D: OrientedGraph) -> VertexColoring:
     """Greedy 2-dipath coloring along the constraint graph's degeneracy order."""
     constraints = two_dipath_constraint_graph(D)
     return greedy_color(constraints, degeneracy_order(constraints))
-
-
-def sign_vector(D: OrientedGraph, U: Sequence[int], v: int) -> tuple[int, ...]:
-    """Entry i is +1 if the arc goes v -> U[i], and -1 if it goes U[i] -> v."""
-    entries = []
-    for u in U:
-        if u == v:
-            raise ValueError("v may not appear in U")
-        if D.has_arc(v, u):
-            entries.append(1)
-        elif D.has_arc(u, v):
-            entries.append(-1)
-        else:
-            raise ValueError(f"{u} is not adjacent to {v}")
-    return tuple(entries)
 
 
 def full_part_size(k: int, d: int) -> int:
@@ -118,9 +105,6 @@ class FullTarget:
     @property
     def parts(self) -> list[range]:
         return [range(i * self.N, (i + 1) * self.N) for i in range(self.k)]
-
-    def part_of(self, v: int) -> int:
-        return v // self.N
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(k={self.k}, N={self.N}, d={self.d})"
@@ -176,9 +160,10 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
 
     The failure probability of a single draw is bounded by
     k * (k*N)^d * 2^d * exp(-N / 2^d), which is far below 1 for k >= 5 and
-    d >= 2, so redraws are rare.  Orders d above FULL_ORDER_BUDGET raise
-    BudgetExceededError before anything is drawn: verify_full could not
-    finish on them (at d = 3, N is already 825 for k = 5).
+    d >= 2, so redraws are rare.  Orders d above FULL_ORDER_BUDGET, on which
+    verify_full could not finish (at d = 3, N is already 825 for k = 5), and
+    targets of more than FULL_VERTEX_BUDGET vertices raise
+    BudgetExceededError before anything is drawn.
     """
     if k < 5 or d < 2:
         raise ValueError("requires k >= 5 and d >= 2")
@@ -189,6 +174,10 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
             f"{FULL_ORDER_BUDGET}; part size would be {part_size}."
         )
     n = k * part_size
+    if n > FULL_VERTEX_BUDGET:
+        raise BudgetExceededError(
+            f"a full target with {n} vertices exceeds the budget {FULL_VERTEX_BUDGET}."
+        )
     rng = random.Random(rng_seed)
     for _ in range(FULL_BUILD_ATTEMPTS):
         out = [0] * n

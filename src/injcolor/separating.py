@@ -7,9 +7,10 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 
-from .errors import InjcolorError
+from .errors import BudgetExceededError, InjcolorError
 
 MAX_BUILD_ATTEMPTS = 64
+PAIR_BUDGET = 10**6  # the most (element, (r-1)-subset) pairs one verification may check
 
 
 class FamilyConstructionError(RuntimeError, InjcolorError):
@@ -36,11 +37,19 @@ def build_separating_family(k: int, r: int, rng_seed: int = 0) -> SeparatingFami
 
     A universe smaller than r is padded up to r elements; a family over a
     superset universe separates the original.  Deterministic for a given
-    seed; retries consume the same seeded stream.
+    seed; retries consume the same seeded stream.  When the k * C(k-1, r-1)
+    pairs that verify_separating_family enumerates exceed PAIR_BUDGET, raises
+    BudgetExceededError before anything is drawn.
     """
     if r < 2:
         raise ValueError("separation order r must be at least 2")
     k = max(k, r)
+    pairs = k * math.comb(k - 1, r - 1)
+    if pairs > PAIR_BUDGET:
+        raise BudgetExceededError(
+            f"verifying a family for (k={k}, r={r}) checks {pairs} pairs, "
+            f"beyond the budget {PAIR_BUDGET}"
+        )
     size = family_size_bound(k, r)
     rng = random.Random(rng_seed)
     prob = 1.0 / r

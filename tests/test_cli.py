@@ -1,5 +1,7 @@
 import json
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,7 @@ _EDGE_COLORING = {"kind": "edge", "k": 1, "assign": [[1, 2, 1]]}
     ("p edge 2 1\ne 1 x\n", _EDGE_COLORING, "endpoints must be integers"),
     ("p edge 2 1\ne 1 3\n", _EDGE_COLORING, "endpoint outside 1..2"),
     ("p edge 2 1\ne 0 2\n", _EDGE_COLORING, "endpoint outside 1..2"),
+    ("p edge 200000000 0\n", _EDGE_COLORING, "n exceeds the limit 1000000"),
     ("c no problem line\n", _EDGE_COLORING, "missing problem line"),
     (_EDGE, {"kind": "edge", "k": 1}, "coloring JSON missing field"),
     (_EDGE, [[1, 2, 1]], "coloring JSON missing field"),
@@ -101,6 +104,99 @@ def test_malformed_input_exits_1_with_json_error(tmp_path, graph, coloring, mess
     cpath.write_text(json.dumps(coloring))
     code, out = run(["verify", "--kind", "inj", str(cpath), str(gpath)])
     assert code == 1 and message in json.loads(out)["error"]
+
+
+_NON_INTEGERS = ("x", "1.5", "one", "2e3", "0x1", "--", "1,2", "nan")
+
+
+@st.composite
+def malformed_graph_texts(draw):
+    """A valid graph text on at most 6 vertices with exactly one defect, and
+    a command that parses it first.  Every defect alone is malformed, and a
+    single one cannot cancel itself."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(u + 1, n + 1)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    mode, letter, argv = draw(st.sampled_from([
+        ("edge", "e", ["inj-degenerate"]), ("arc", "a", ["exact", "--param", "oriented"])]))
+    lines = [["p", mode, str(n), str(len(edges))]] + [[letter, str(u), str(v)] for u, v in edges]
+    defect = draw(st.sampled_from(["drop", "extra", "non-integer", "out-of-range",
+                                   "duplicate-p", "unknown-type", "over-cap"]))
+    i = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    line = lines[i]
+    if defect == "drop":
+        del line[draw(st.integers(min_value=0, max_value=len(line) - 1))]
+    elif defect == "extra":
+        line.insert(draw(st.integers(min_value=1, max_value=len(line))), "1")
+    elif defect == "non-integer":
+        line[draw(st.integers(min_value=len(line) - 2, max_value=len(line) - 1))] = \
+            draw(st.sampled_from(_NON_INTEGERS))
+    elif defect == "out-of-range":
+        j = draw(st.integers(min_value=1, max_value=len(lines) - 1))
+        lines[j][draw(st.sampled_from([1, 2]))] = str(draw(st.sampled_from([0, -1, n + 1, 10 * n])))
+    elif defect == "duplicate-p":
+        lines.insert(i + 1, ["p", mode, str(n), str(draw(st.integers(0, 3)))])
+    elif defect == "unknown-type":
+        lines.insert(i, [draw(st.sampled_from(["x", "q", "E", "C", "#", "%", "edge"])), "1", "2"])
+    else:
+        lines[0][2] = str(draw(st.integers(min_value=10**6 + 1, max_value=2 * 10**6)))
+    return argv, "".join(" ".join(fields) + "\n" for fields in lines)
+
+
+_EDGE_PATH = "p edge 3 2\ne 1 2\ne 2 3\n"
+
+
+@st.composite
+def malformed_coloring_texts(draw):
+    """Coloring JSON text for the graph _EDGE_PATH that the parser or the
+    injective verifier must refuse."""
+    good = {"kind": "edge", "k": 2, "assign": [[1, 2, 1], [2, 3, 2]]}
+    defect = draw(st.sampled_from(["missing-field", "drop", "extra", "non-integer",
+                                   "out-of-range", "not-an-object", "unknown-kind",
+                                   "truncated"]))
+    obj: object = good
+    if defect == "missing-field":
+        missing = draw(st.sampled_from(["kind", "assign"]))
+        obj = {key: value for key, value in good.items() if key != missing}
+    elif defect in ("drop", "extra", "non-integer"):
+        entry = list(good["assign"][0])
+        if defect == "drop":
+            del entry[draw(st.integers(min_value=0, max_value=2))]
+        elif defect == "extra":
+            entry.append(1)
+        else:
+            entry[draw(st.integers(min_value=0, max_value=1))] = draw(st.sampled_from(_NON_INTEGERS))
+        obj = dict(good, assign=[entry, good["assign"][1]])
+    elif defect == "out-of-range":
+        far = draw(st.sampled_from([[0, 1, 3], [3, 4, 3], [1, 3, 3], [-1, 2, 3]]))
+        obj = dict(good, assign=good["assign"] + [far])
+    elif defect == "not-an-object":
+        obj = draw(st.sampled_from([[], [[1, 2, 1]], "edge", 7, None, True]))
+    elif defect == "unknown-kind":
+        obj = dict(good, kind=draw(st.sampled_from(["face", "Edge", "", None, 1])))
+    text = json.dumps(obj)
+    if defect == "truncated":
+        text = text[:draw(st.integers(min_value=0, max_value=len(text) - 1))]
+    return text
+
+
+@settings(max_examples=300, deadline=None)
+@given(malformed_graph_texts())
+def test_malformed_graph_text_exits_1_with_json_error(case):
+    argv, text = case
+    code, out = run(argv, text)
+    assert code == 1 and json.loads(out)["error"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_coloring_texts())
+def test_malformed_coloring_json_exits_1_with_json_error(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cpath, gpath = Path(tmp, "coloring.json"), Path(tmp, "graph.gr")
+        cpath.write_text(text)
+        gpath.write_text(_EDGE_PATH)
+        code, out = run(["verify", "--kind", "inj", str(cpath), str(gpath)])
+    assert code == 1 and json.loads(out)["error"]
 
 
 def test_coloring_json_round_trip():
@@ -241,6 +337,17 @@ def test_full_graph_over_budget_is_refused_at_once():
     start = time.perf_counter()
     code, out = run(["full-graph", "--k", "5", "--d", "3"])
     assert code == 1 and "exceeds the verification budget" in json.loads(out)["error"]
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["family", "--k", "30", "--r", "8"], "46823400 pairs, beyond the budget 1000000"),
+    (["full-graph", "--k", "100", "--d", "2"], "29500 vertices exceeds the budget 4096"),
+])
+def test_oversized_builds_are_refused_at_once(argv, message):
+    start = time.perf_counter()
+    code, out = run(argv)
+    assert code == 1 and message in json.loads(out)["error"]
     assert time.perf_counter() - start < 1
 
 

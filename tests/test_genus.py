@@ -67,7 +67,7 @@ def test_oriented_genus_k8_small_branch():
     D = random_orientation(K8, 3)
     g = genus_of_complete(8)
     coloring, report = oriented_color_genus(D, g, 0)
-    assert report.stats["small_instance"]
+    assert report.v2_size == 0
     assert coloring.k == 8
     assert report.checks["oriented_valid"]
     assert verify_oriented_coloring(D, coloring)

@@ -76,6 +76,7 @@ def _cases(tmp: Path):
     yield "inj-degenerate-path-closed-form", ["inj-degenerate"], emit_graph(path(10))
     yield "inj-degenerate-text", ["inj-degenerate", "--seed", "7", "--format", "text"], k4
     yield "inj-degenerate-comments", ["inj-degenerate"], "c a comment\nc\n" + k4
+    yield "inj-degenerate-too-many-vertices", ["inj-degenerate"], "p edge 200000000 0\n"
 
     yield "inj-genus-grid", ["inj-genus", "--g", "2", "--seed", "1"], emit_graph(grid3)
     yield "inj-genus-k8", ["inj-genus", "--g", "4", "--seed", "1"], k8
@@ -141,9 +142,11 @@ def _cases(tmp: Path):
     yield "gen-no-n", ["gen", "--family", "cycle"], ""
 
     yield "family", ["family", "--k", "5", "--r", "2", "--seed", "0"], ""
+    yield "family-over-budget", ["family", "--k", "30", "--r", "8"], ""
     yield "full-graph", ["full-graph", "--k", "5", "--d", "2", "--seed", "0"], ""
     yield "full-graph-small-k", ["full-graph", "--k", "4", "--d", "2"], ""
     yield "full-graph-over-budget", ["full-graph", "--k", "5", "--d", "3"], ""
+    yield "full-graph-too-many-vertices", ["full-graph", "--k", "100", "--d", "2"], ""
 
 
 def _digests(tmp: Path) -> dict[str, str]:

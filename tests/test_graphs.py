@@ -1,3 +1,6 @@
+import random
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from injcolor import (
     is_induced_star_forest,
     orient_by_ordering,
     path,
+    random_degenerate_graph,
 )
 from .bruteforce import exact_degeneracy, min_chromatic
 
@@ -72,6 +76,23 @@ def test_degeneracy_matches_bruteforce(G):
     for v in range(G.n):
         back = sum(1 for w in G.neighbors(v) if pos[w] < pos[v])
         assert back <= ordering.d
+
+
+def test_degeneracy_matches_networkx_core_number():
+    # the brute force above stops at n = 7; networkx's k-core decomposition
+    # checks graphs of a few hundred vertices
+    rng = random.Random(5)
+    for seed in range(30):
+        n = rng.randrange(50, 300)
+        if seed % 2:
+            G = random_degenerate_graph(n, rng.randrange(1, 6), seed)
+        else:
+            p = rng.uniform(0.005, 0.08)
+            G = UndirectedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                    if rng.random() < p])
+        H = nx.Graph(G.edges())
+        H.add_nodes_from(range(n))
+        assert degeneracy_order(G).d == max(nx.core_number(H).values())
 
 
 def test_orient_by_ordering_examples():

@@ -8,8 +8,6 @@ from injcolor import (
     OrientedGraph,
     clique_graph,
     exact_chromatic_number,
-    genus_edge_report,
-    levi_graph,
     neighborhood_hypergraph,
     peel_color_clique_graph,
 )
@@ -38,16 +36,6 @@ def test_neighborhood_hypergraph_examples():
     twin = OrientedGraph(4, [(0, 2), (0, 3), (1, 2), (1, 3)])
     H3, _ = neighborhood_hypergraph(twin, [0, 1])
     assert len(H3.edges) == 2 and H3.edges[0] == H3.edges[1]
-
-
-def test_levi_graph_examples():
-    pair = Hypergraph(2, [{0, 1}])
-    L = levi_graph(pair)
-    assert (L.n, L.m) == (3, 2)  # a path
-    triple = Hypergraph(3, [{0, 1, 2}])
-    L3 = levi_graph(triple)
-    assert (L3.n, L3.m) == (4, 3) and L3.degree(3) == 3  # a star
-    assert levi_graph(Hypergraph(4)).m == 0
 
 
 def test_clique_graph_examples():
@@ -117,10 +105,3 @@ def test_peel_warns_on_dishonest_genus():
     H = Hypergraph(n, [{i, j} for i, j in combinations(range(n), 2)])
     with pytest.warns(UserWarning):
         peel_color_clique_graph(H, genus=2)
-
-
-def test_genus_edge_report():
-    H = Hypergraph(4, [{0, 1}, {1, 2, 3}, {2}])
-    rep = genus_edge_report(H, 2)
-    assert rep["size2_edges"] == 1 and rep["larger_edges"] == 1
-    assert rep["size2_ok"] and rep["larger_ok"]

@@ -1,6 +1,7 @@
 import random
 from itertools import combinations, product
 
+import networkx as nx
 import pytest
 
 from injcolor import (
@@ -18,13 +19,12 @@ from injcolor import (
     exact_injective_index,
     exact_oriented_coloring,
     exact_oriented_number,
-    exact_oriented_number_all_orientations,
     path,
     random_degenerate_graph,
     verify_injective,
     verify_oriented_coloring,
 )
-from injcolor.oracles import _conflict_adjacency, _Deadline, _dsatur_greedy
+from injcolor.oracles import _bipartite_coloring, _conflict_adjacency, _Deadline, _dsatur_greedy
 from .bruteforce import min_2dipath, min_chromatic, min_injective_colors, min_oriented
 
 
@@ -123,12 +123,28 @@ def test_oracles_match_bruteforce_on_random_instances():
         assert exact_2dipath_number(D) == min_2dipath(n, D.arcs())
 
 
-def test_all_orientations_on_small_graphs():
-    # a single arc forces 2 colors whichever way it points
-    assert exact_oriented_number_all_orientations(path(2)) == 2
-    assert exact_oriented_number_all_orientations(cycle(5)) == 5
-    with pytest.raises(BudgetExceededError):
-        exact_oriented_number_all_orientations(complete_graph(6))
+def test_bipartite_coloring_matches_networkx():
+    # random bipartite graphs, half of them with a few edges added anywhere
+    rng = random.Random(9)
+    verdicts = set()
+    for seed in range(40):
+        n = rng.randrange(20, 300)
+        side = [rng.randrange(2) for _ in range(n)]
+        edges = {(u, v) for u in range(n) for v in range(u + 1, n)
+                 if side[u] != side[v] and rng.random() < 3 / n}
+        if seed % 2:
+            edges |= {tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, 4))}
+        G = UndirectedGraph(n, edges)
+        H = nx.Graph(G.edges())
+        H.add_nodes_from(range(n))
+        adj = [G.neighbors(v) for v in range(n)]
+        colors = _bipartite_coloring(list(range(n)), adj)
+        assert (colors is not None) == nx.is_bipartite(H)
+        verdicts.add(colors is not None)
+        if colors is not None:
+            assert sorted(colors) == list(range(n)) and set(colors.values()) <= {1, 2}
+            assert all(colors[u] != colors[v] for u, v in G.edges())
+    assert verdicts == {True, False}
 
 
 def test_budget_errors():

@@ -24,12 +24,12 @@ from injcolor import (
     random_degenerate_graph,
     random_orientation,
     sample_full_orientation,
-    sign_vector,
     verify_2dipath,
     verify_full,
     verify_homomorphism,
     verify_oriented_coloring,
 )
+from injcolor import oriented
 from .bruteforce import dipath2_assignment_valid, oriented_assignment_valid
 
 
@@ -91,16 +91,6 @@ def test_greedy_2dipath_always_valid():
         assert psi.k >= exact_2dipath_number(D, budget)
 
 
-def test_sign_vector_examples():
-    D = OrientedGraph(3, [(0, 1), (2, 0)])
-    assert sign_vector(D, [1], 0) == (1,)
-    assert sign_vector(D, [1, 2], 0) == (1, -1)
-    with pytest.raises(ValueError):
-        sign_vector(D, [2], 1)  # not adjacent
-    with pytest.raises(ValueError):
-        sign_vector(D, [0], 0)
-
-
 def test_full_part_size_formula():
     assert full_part_size(5, 2) == math.ceil(64 * math.log(5)) == 104
     assert full_part_size(6, 2) == 115
@@ -117,6 +107,18 @@ def test_build_full_graph_rejects_small_parameters():
         build_full_graph(5, 3)
 
 
+def test_build_full_graph_refuses_too_many_vertices(monkeypatch):
+    # k = 22 needs 22 parts of 198 vertices, past FULL_VERTEX_BUDGET = 4096
+    with pytest.raises(BudgetExceededError, match="4356 vertices"):
+        build_full_graph(22, 2)
+    # the budget is inclusive: (5, 2) has exactly 520 vertices
+    monkeypatch.setattr(oriented, "FULL_VERTEX_BUDGET", 520)
+    assert build_full_graph(5, 2, 0).n == 520
+    monkeypatch.setattr(oriented, "FULL_VERTEX_BUDGET", 519)
+    with pytest.raises(BudgetExceededError):
+        build_full_graph(5, 2, 0)
+
+
 def test_full_graph_structure():
     H = build_full_graph(5, 2, 0)
     assert H.N == full_part_size(5, 2)
@@ -128,7 +130,7 @@ def test_full_graph_structure():
         u, v = rng.randrange(H.n), rng.randrange(H.n)
         if u == v:
             continue
-        if H.part_of(u) == H.part_of(v):
+        if u // H.N == v // H.N:
             assert not H.has_arc(u, v) and not H.has_arc(v, u)
         else:
             assert H.has_arc(u, v) != H.has_arc(v, u)
@@ -213,7 +215,7 @@ def test_homomorphism_edgeless():
     H = build_full_graph(5, 2, 0)
     h = homomorphism_to_full(D, degeneracy_order(D.underlying()), psi, H)
     assert verify_homomorphism(D, H, h)
-    assert all(H.part_of(h[v]) == 0 for v in range(4))
+    assert all(h[v] // H.N == 0 for v in range(4))
 
 
 def test_homomorphism_directed_path():
@@ -266,7 +268,7 @@ def test_sampled_full_orientation_is_digon_free_and_usable():
     rng = random.Random(1)
     for _ in range(400):
         u, v = rng.randrange(S.n), rng.randrange(S.n)
-        if u == v or S.part_of(u) == S.part_of(v):
+        if u == v or u // S.N == v // S.N:
             assert not S.has_arc(u, v)
         else:
             assert S.has_arc(u, v) != S.has_arc(v, u)

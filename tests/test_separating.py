@@ -3,12 +3,14 @@ from itertools import permutations
 import pytest
 
 from injcolor import (
+    BudgetExceededError,
     FamilyConstructionError,
     SeparatingFamily,
     build_separating_family,
     family_size_bound,
     verify_separating_family,
 )
+from injcolor import separating
 
 
 def test_size_bound_values():
@@ -61,6 +63,18 @@ def test_universe_padding_when_r_exceeds_k():
     assert fam.k == 4  # padded up to r
     assert verify_separating_family(fam)
     assert len(fam.sets) <= family_size_bound(4, 4)
+
+
+def test_refuses_families_over_the_pair_budget(monkeypatch):
+    # 30 * C(29, 7) = 46.8 M pairs: refused before anything is drawn
+    with pytest.raises(BudgetExceededError, match="46823400 pairs"):
+        build_separating_family(30, 8, 0)
+    # the budget bounds k * C(k-1, r-1) inclusively: (12, 3) checks 660 pairs
+    monkeypatch.setattr(separating, "PAIR_BUDGET", 660)
+    assert verify_separating_family(build_separating_family(12, 3, 0))
+    monkeypatch.setattr(separating, "PAIR_BUDGET", 659)
+    with pytest.raises(BudgetExceededError):
+        build_separating_family(12, 3, 0)
 
 
 def test_rejects_tiny_r():
