@@ -89,13 +89,13 @@ _EDGE_COLORING = {"kind": "edge", "k": 1, "assign": [[1, 2, 1]]}
     ("p edge 2 1\ne 1 x\n", _EDGE_COLORING, "endpoints must be integers"),
     ("p edge 2 1\ne 1 3\n", _EDGE_COLORING, "endpoint outside 1..2"),
     ("p edge 2 1\ne 0 2\n", _EDGE_COLORING, "endpoint outside 1..2"),
-    ("p edge 200000000 0\n", _EDGE_COLORING, "n exceeds the limit 1000000"),
     ("c no problem line\n", _EDGE_COLORING, "missing problem line"),
     (_EDGE, {"kind": "edge", "k": 1}, "coloring JSON missing field"),
     (_EDGE, [[1, 2, 1]], "coloring JSON missing field"),
     (_EDGE, {"kind": "edge", "k": 1, "assign": [[1, 2]]}, "must be [u, v, color]"),
     (_EDGE, {"kind": "vertex", "k": 1, "assign": [[1]]}, "must be [v, color]"),
     (_EDGE, {"kind": "face", "k": 1, "assign": []}, "unknown coloring kind"),
+    ("p edge 200000000 0\n", _EDGE_COLORING, "n exceeds the limit 1000000"),
 ])
 def test_malformed_input_exits_1_with_json_error(tmp_path, graph, coloring, message):
     gpath = tmp_path / "graph.gr"
