@@ -14,7 +14,8 @@ import sys
 from typing import Callable, Sequence
 
 from . import generators
-from .dimacs import ParseError, coloring_from_obj, coloring_to_obj, emit_graph, parse_graph
+from .dimacs import (MAX_VERTICES, ParseError, coloring_from_obj, coloring_to_obj, emit_graph,
+                     parse_graph)
 from .errors import InjcolorError
 from .genus import injective_color_genus, oriented_color_genus, oriented_color_genus_via_2dipath
 from .graphs import EdgeColoring, OrientedGraph, UndirectedGraph, VertexColoring
@@ -42,6 +43,10 @@ from .separating import build_separating_family
 EXIT_OK = 0
 EXIT_INPUT_ERROR = 1
 EXIT_INVALID = 2
+
+# gen refuses complete and random-genus-lb outputs spanning more vertex pairs
+# C(n, 2) than this (n <= 2,449), since it holds every edge in a Python set.
+GEN_PAIR_BUDGET = 3 * 10**6
 
 
 class _CliParser(argparse.ArgumentParser):
@@ -251,13 +256,25 @@ def _dispatch(args, read_stdin: Callable[[], str]) -> tuple[int, dict | str]:
     raise ParseError(f"unknown command {cmd!r}")
 
 
+def _refuse_oversized(n: int, all_pairs: bool) -> None:
+    """Refuse, before building it, a gen output the parser would refuse or
+    one whose family may join all of its C(n, 2) pairs beyond the budget."""
+    if n > MAX_VERTICES:
+        raise ParseError(f"gen output of {n} vertices exceeds the limit {MAX_VERTICES}")
+    if all_pairs and n > 0 and n * (n - 1) // 2 > GEN_PAIR_BUDGET:
+        raise ParseError(f"gen output spans {n * (n - 1) // 2} vertex pairs, beyond the "
+                         f"budget {GEN_PAIR_BUDGET}")
+
+
 def _generate(args, read_stdin: Callable[[], str]) -> str:
     family = args.family
     if family == "k5-padding":
         base = _read_graph(read_stdin(), UndirectedGraph)
+        _refuse_oversized(base.n + 5 * args.copies, all_pairs=False)
         return emit_graph(generators.pad_with_k5(base, args.copies))
     if args.n is None:
         raise ParseError("gen requires --n for this family")
+    _refuse_oversized(args.n, all_pairs=family in ("complete", "random-genus-lb"))
     if family == "complete":
         return emit_graph(generators.complete_graph(args.n))
     if family == "path":

@@ -4,7 +4,8 @@ Graph files: comment lines have ``c`` as their first token (``c`` alone or
 ``c`` followed by whitespace and text); one problem line ``p edge n m``
 or ``p arc n m``; then ``e u v`` or ``a u v`` lines with 1-indexed vertices.
 Coloring JSON: {"kind": "edge"|"vertex", "k": int, "assign": [[u, v, color],
-...] or [[v, color], ...]} with the same 1-indexed ids.
+...] or [[v, color], ...]} with the same 1-indexed ids.  Ids and colors are
+JSON integers >= 1, and no vertex or edge (in either order) appears twice.
 """
 
 from __future__ import annotations
@@ -102,14 +103,16 @@ def coloring_from_obj(obj: dict) -> EdgeColoring | VertexColoring:
         assign = obj["assign"]
     except (TypeError, KeyError) as exc:
         raise ParseError(f"coloring JSON missing field: {exc}") from None
+    if kind not in ("edge", "vertex"):
+        raise ParseError(f"unknown coloring kind {kind!r}")
+    width, shape = (3, "[u, v, color]") if kind == "edge" else (2, "[v, color]")
+    # type() and not isinstance(): JSON true and false must not pass as 1 and 0.
+    if not isinstance(assign, list) or not all(
+            isinstance(entry, list) and len(entry) == width
+            and all(type(x) is int and x >= 1 for x in entry) for entry in assign):
+        raise ParseError(f"{kind} assign entries must be {shape}, integers >= 1")
+    if len({tuple(sorted(entry[:-1])) for entry in assign}) < len(assign):
+        raise ParseError(f"coloring JSON lists the same {kind} twice")
     if kind == "edge":
-        try:
-            return EdgeColoring({(u - 1, v - 1): c for u, v, c in assign})
-        except (TypeError, ValueError):
-            raise ParseError("edge assign entries must be [u, v, color]") from None
-    if kind == "vertex":
-        try:
-            return VertexColoring({v - 1: c for v, c in assign})
-        except (TypeError, ValueError):
-            raise ParseError("vertex assign entries must be [v, color]") from None
-    raise ParseError(f"unknown coloring kind {kind!r}")
+        return EdgeColoring({(u - 1, v - 1): c for u, v, c in assign})
+    return VertexColoring({v - 1: c for v, c in assign})

@@ -3,6 +3,11 @@
 These are ground truth for desk-scale instances.  Every solver honors an
 OracleBudget and raises BudgetExceededError when a size limit or the wall
 clock is hit.
+
+Each solver counts k up from a lower bound until a backtracking search
+finds a k-coloring: from the size of a greedy clique in each component for
+the chromatic search, from the chromatic number of the underlying graph for
+the oriented one.  Both searches keep their own trail instead of recursing.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from .graphs import (
     OrientedGraph,
     UndirectedGraph,
     VertexColoring,
-    normalize_edge,
     two_dipath_constraint_graph,
 )
 
@@ -63,24 +67,6 @@ def _components(n: int, adj: list[set[int]]) -> list[list[int]]:
     return comps
 
 
-def _bipartite_coloring(comp: list[int], adj: list[set[int]]) -> dict[int, int] | None:
-    colors: dict[int, int] = {}
-    for s in comp:
-        if s in colors:
-            continue
-        colors[s] = 1
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in colors:
-                    colors[w] = 3 - colors[v]
-                    stack.append(w)
-                elif colors[w] == colors[v]:
-                    return None
-    return colors
-
-
 def _greedy_clique(comp: list[int], adj: list[set[int]]) -> list[int]:
     order = sorted(comp, key=lambda v: (-len(adj[v]), v))
     clique: list[int] = []
@@ -90,34 +76,13 @@ def _greedy_clique(comp: list[int], adj: list[set[int]]) -> list[int]:
     return clique
 
 
-def _dsatur_greedy(comp: list[int], adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
-    colors: dict[int, int] = {}
-    sat: dict[int, set[int]] = {v: set() for v in comp}
-    uncolored = set(comp)
-    while uncolored:
-        deadline.check()
-        v = max(uncolored, key=lambda u: (len(sat[u]), len(adj[u]), -u))
-        c = 1
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        uncolored.discard(v)
-        for w in adj[v]:
-            if w in uncolored:
-                sat[w].add(c)
-    return colors
+def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int],
+                 deadline: _Deadline) -> dict[int, int] | None:
+    """DSATUR backtracking with the clique precolored for symmetry breaking.
 
-
-def _k_colorable(
-    comp: list[int],
-    adj: list[set[int]],
-    k: int,
-    clique: list[int],
-    deadline: _Deadline,
-) -> dict[int, int] | None:
-    """DSATUR backtracking with the clique precolored for symmetry breaking."""
-    if len(clique) > k:
-        return None
+    The trail holds (vertex, color, max_used before it) for each placed
+    vertex; colors are tried in ascending order.
+    """
     colors: dict[int, int] = {}
     sat: dict[int, dict[int, int]] = {v: {} for v in comp}
 
@@ -139,51 +104,43 @@ def _k_colorable(
     for i, v in enumerate(clique):
         place(v, i + 1)
     max_used = len(clique)
-
-    def search(max_used: int) -> bool:
+    trail: list[tuple[int, int, int]] = []
+    while True:
         deadline.check()
-        best = None
+        v = -1
         best_key = None
-        for v in comp:
-            if v in colors:
+        for u in comp:
+            if u in colors:
                 continue
-            key = (len(sat[v]), len(adj[v]), -v)
+            key = (len(sat[u]), len(adj[u]), -u)
             if best_key is None or key > best_key:
-                best = v
+                v = u
                 best_key = key
-        if best is None:
-            return True
-        v = best
-        limit = min(k, max_used + 1)
-        for c in range(1, limit + 1):
-            if c in sat[v]:
-                continue
-            place(v, c)
-            if search(max(max_used, c)):
-                return True
+        if v < 0:
+            return dict(colors)
+        c = 0
+        # Take v's next free color above c, or undo the last placement and
+        # resume that vertex above its old color.
+        while not (c := next((d for d in range(c + 1, min(k, max_used + 1) + 1)
+                              if d not in sat[v]), 0)):
+            if not trail:
+                return None
+            v, c, max_used = trail.pop()
             unplace(v, c)
-        return False
-
-    if search(max_used):
-        return dict(colors)
-    return None
+        place(v, c)
+        trail.append((v, c, max_used))
+        max_used = max(max_used, c)
 
 
 def _solve_component(comp: list[int], adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
-    two = _bipartite_coloring(comp, adj)
-    if two is not None:
-        return two
-    greedy = _dsatur_greedy(comp, adj, deadline)
-    ub = len(set(greedy.values()))
+    """An optimal coloring of one component: k starts at the size of a
+    greedy clique and rises until _k_colorable succeeds, which it does at
+    k = len(comp) at the latest."""
     clique = _greedy_clique(comp, adj)
-    lb = max(3, len(clique))
-    if ub <= lb:
-        return greedy
-    for k in range(lb, ub):
-        res = _k_colorable(comp, adj, k, clique, deadline)
-        if res is not None:
-            return res
-    return greedy
+    k = len(clique)
+    while (colors := _k_colorable(comp, adj, k, clique, deadline)) is None:
+        k += 1
+    return colors
 
 
 def _solve_chromatic(n: int, adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
@@ -209,16 +166,12 @@ def exact_chromatic_coloring(G: UndirectedGraph, budget: OracleBudget = DEFAULT_
 def _conflict_adjacency(G: UndirectedGraph, edges: list[Edge], deadline: _Deadline) -> list[set[int]]:
     """The edges_conflict adjacency on edge indices, found around each third
     edge g = xy as (edges at x) x (edges at y) minus g, in
-    O(sum over g of deg x * deg y) time.
-
-    Pairs go in ascending (i, j) order, the order of a pairwise scan, so that
-    every set, and with it the solver's search order, matches that scan.
-    """
+    O(sum over g of deg x * deg y) time."""
     at: list[list[int]] = [[] for _ in range(G.n)]
     for i, (u, v) in enumerate(edges):
         at[u].append(i)
         at[v].append(i)
-    pairs: set[Edge] = set()
+    adj: list[set[int]] = [set() for _ in range(len(edges))]
     for g, (x, y) in enumerate(edges):
         deadline.check()
         for i in at[x]:
@@ -226,11 +179,8 @@ def _conflict_adjacency(G: UndirectedGraph, edges: list[Edge], deadline: _Deadli
                 continue
             for j in at[y]:
                 if j != g:  # then j != i too: only g lies at both x and y
-                    pairs.add(normalize_edge(i, j))
-    adj: list[set[int]] = [set() for _ in range(len(edges))]
-    for i, j in sorted(pairs):
-        adj[i].add(j)
-        adj[j].add(i)
+                    adj[i].add(j)
+                    adj[j].add(i)
     return adj
 
 
@@ -262,60 +212,59 @@ def exact_2dipath_number(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET
     deadline = _Deadline(budget.timeout)
     constraints = two_dipath_constraint_graph(D)
     adj = [constraints.neighbors(v) for v in range(D.n)]
-    colors = _solve_chromatic(D.n, adj, deadline)
-    return len(set(colors.values())) if colors else 0
+    return len(set(_solve_chromatic(D.n, adj, deadline).values()))
 
 
-def _oriented_feasible(
-    D: OrientedGraph,
-    order: list[int],
-    k: int,
-    deadline: _Deadline,
-) -> dict[int, int] | None:
-    colors: dict[int, int] = {}
+def _oriented_feasible(arcs_at: list[list[tuple[int, bool]]], order: list[int], k: int,
+                       deadline: _Deadline) -> dict[int, int] | None:
+    """Backtracking over the vertices in the fixed order.  arcs_at[v] lists
+    (neighbor, whether the arc leaves v).  The trail holds, for each placed
+    vertex, (its color, the ordered color pairs it added, max_used before
+    it)."""
+    color = [0] * len(arcs_at)
     pair_count: dict[tuple[int, int], int] = {}
 
-    def search(idx: int, max_used: int) -> bool:
-        deadline.check()
-        if idx == len(order):
-            return True
-        v = order[idx]
-        limit = min(k, max_used + 1)
-        for c in range(1, limit + 1):
+    def next_color(v: int, c: int, limit: int) -> tuple[int, list[tuple[int, int]]] | None:
+        """v's first color above c, up to limit, that no colored neighbor
+        forbids, with the ordered color pairs it adds."""
+        for c in range(c + 1, limit + 1):
             added: list[tuple[int, int]] = []
-            local: set[tuple[int, int]] = set()
-            ok = True
-            for u in D.out_neighbors(v):
-                if u in colors:
-                    cu = colors[u]
-                    if cu == c or pair_count.get((cu, c), 0) or (cu, c) in local:
-                        ok = False
-                        break
-                    added.append((c, cu))
-                    local.add((c, cu))
-            if ok:
-                for u in D.in_neighbors(v):
-                    if u in colors:
-                        cu = colors[u]
-                        if cu == c or pair_count.get((c, cu), 0) or (c, cu) in local:
-                            ok = False
-                            break
-                        added.append((cu, c))
-                        local.add((cu, c))
-            if ok:
-                for p in added:
-                    pair_count[p] = pair_count.get(p, 0) + 1
-                colors[v] = c
-                if search(idx + 1, max(max_used, c)):
-                    return True
-                del colors[v]
-                for p in added:
-                    pair_count[p] -= 1
-        return False
+            for u, leaves in arcs_at[v]:
+                cu = color[u]
+                if not cu:
+                    continue
+                pair, reverse = ((c, cu), (cu, c)) if leaves else ((cu, c), (c, cu))
+                if cu == c or pair_count.get(reverse, 0) or reverse in added:
+                    break
+                added.append(pair)
+            else:
+                return c, added
+        return None
 
-    if search(0, 0):
-        return dict(colors)
-    return None
+    trail: list[tuple[int, list[tuple[int, int]], int]] = []
+    max_used = 0
+    while True:
+        deadline.check()
+        if len(trail) == len(order):
+            return {v: color[v] for v in order}
+        v = order[len(trail)]
+        c = 0
+        # Take v's next feasible color above c, or undo the last placement
+        # and resume that vertex above its old color.
+        while (step := next_color(v, c, min(k, max_used + 1))) is None:
+            if not trail:
+                return None
+            c, added, max_used = trail.pop()
+            v = order[len(trail)]
+            color[v] = 0
+            for p in added:
+                pair_count[p] -= 1
+        c, added = step
+        for p in added:
+            pair_count[p] = pair_count.get(p, 0) + 1
+        color[v] = c
+        trail.append((c, added, max_used))
+        max_used = max(max_used, c)
 
 
 def exact_oriented_coloring(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> VertexColoring:
@@ -323,23 +272,22 @@ def exact_oriented_coloring(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUD
 
     Backtracking enforces both the proper condition and the ordered
     color-pair condition: no pair (a, b) may occur on arcs in both
-    directions.
+    directions.  k starts at the chromatic number of the underlying graph
+    and rises until the search succeeds, which it does at k = n at the
+    latest (all colors distinct).
     """
     if D.n > budget.max_vertices:
         raise BudgetExceededError(f"{D.n} vertices exceed budget {budget.max_vertices}")
     deadline = _Deadline(budget.timeout)
-    if D.n == 0:
-        return VertexColoring({})
     und_adj = [set(D.out_neighbors(v)) | set(D.in_neighbors(v)) for v in range(D.n)]
-    lb = len(set(_solve_chromatic(D.n, und_adj, deadline).values()))
+    k = len(set(_solve_chromatic(D.n, und_adj, deadline).values()))
     order = sorted(range(D.n), key=lambda v: (-len(und_adj[v]), v))
-    for k in range(lb, D.n):
-        res = _oriented_feasible(D, order, k, deadline)
-        if res is not None:
-            return VertexColoring(res)
-    return VertexColoring({v: v + 1 for v in range(D.n)})
+    arcs_at = [[(u, True) for u in D.out_neighbors(v)] + [(u, False) for u in D.in_neighbors(v)]
+               for v in range(D.n)]
+    while (colors := _oriented_feasible(arcs_at, order, k, deadline)) is None:
+        k += 1
+    return VertexColoring(colors)
 
 
 def exact_oriented_number(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     return exact_oriented_coloring(D, budget).k
-

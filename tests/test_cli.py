@@ -96,6 +96,16 @@ _EDGE_COLORING = {"kind": "edge", "k": 1, "assign": [[1, 2, 1]]}
     (_EDGE, {"kind": "vertex", "k": 1, "assign": [[1]]}, "must be [v, color]"),
     (_EDGE, {"kind": "face", "k": 1, "assign": []}, "unknown coloring kind"),
     ("p edge 200000000 0\n", _EDGE_COLORING, "n exceeds the limit 1000000"),
+    (_EDGE, {"kind": "edge", "k": 1, "assign": [[1, 2, "a"]]}, "must be [u, v, color]"),
+    (_EDGE, {"kind": "edge", "k": 1, "assign": [[True, 2, 1]]}, "must be [u, v, color]"),
+    (_EDGE, {"kind": "edge", "k": 1, "assign": [[1, 2, 2.5]]}, "must be [u, v, color]"),
+    (_EDGE, {"kind": "edge", "k": 1, "assign": [[1, 2, 0]]}, "integers >= 1"),
+    (_EDGE, {"kind": "edge", "k": 1, "assign": [[1, 2, -3]]}, "integers >= 1"),
+    (_EDGE, {"kind": "edge", "k": 2, "assign": [[1, 2, 1], [2, 1, 2]]},
+     "lists the same edge twice"),
+    (_EDGE, {"kind": "vertex", "k": 2, "assign": [[1, 0], [2, 1]]}, "integers >= 1"),
+    (_EDGE, {"kind": "vertex", "k": 2, "assign": [[1, 1], [1, 2]]},
+     "lists the same vertex twice"),
 ])
 def test_malformed_input_exits_1_with_json_error(tmp_path, graph, coloring, message):
     gpath = tmp_path / "graph.gr"
@@ -107,6 +117,9 @@ def test_malformed_input_exits_1_with_json_error(tmp_path, graph, coloring, mess
 
 
 _NON_INTEGERS = ("x", "1.5", "one", "2e3", "0x1", "--", "1,2", "nan")
+# Non-integer JSON values: strings (including "1"), true and 2.0 (which
+# Python compares equal to 1 and 2), null and a list.
+_NON_INTEGER_JSON = _NON_INTEGERS + ("1", True, 2.0, None, [1])
 
 
 @st.composite
@@ -165,7 +178,7 @@ def malformed_coloring_texts(draw):
         elif defect == "extra":
             entry.append(1)
         else:
-            entry[draw(st.integers(min_value=0, max_value=1))] = draw(st.sampled_from(_NON_INTEGERS))
+            entry[draw(st.integers(min_value=0, max_value=2))] = draw(st.sampled_from(_NON_INTEGER_JSON))
         obj = dict(good, assign=[entry, good["assign"][1]])
     elif defect == "out-of-range":
         far = draw(st.sampled_from([[0, 1, 3], [3, 4, 3], [1, 3, 3], [-1, 2, 3]]))
@@ -287,6 +300,7 @@ def test_oriented_from_inj_rejects_bad_colorings(tmp_path):
         (triangle, [[1, 2, 1], [2, 3, 1], [1, 3, 1]], "not injective"),
         (dipath, [[1, 2, 1]], "has no color"),
         (dipath, [[1, 2, 1], [2, 3, 2], [1, 3, 3]], "non-edges"),
+        ("p arc 3 2\na 1 2\na 1 3\n", [[1, 2, "a"], [1, 3, 1]], "must be [u, v, color]"),
     ]
     cpath = tmp_path / "inj.json"
     for graph, assign, message in cases:
@@ -349,6 +363,33 @@ def test_oversized_builds_are_refused_at_once(argv, message):
     code, out = run(argv)
     assert code == 1 and message in json.loads(out)["error"]
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("argv, stdin, message", [
+    (["gen", "--family", "complete", "--n", "100000"], "", "4999950000 vertex pairs"),
+    (["gen", "--family", "random-genus-lb", "--n", "2450"], "", "3000025 vertex pairs"),
+    (["gen", "--family", "path", "--n", "2000000"], "", "2000000 vertices exceeds"),
+    (["gen", "--family", "k5-padding", "--copies", "200000"], "p edge 1 0\n",
+     "1000001 vertices exceeds"),
+])
+def test_gen_refuses_unbounded_output_at_once(argv, stdin, message):
+    start = time.perf_counter()
+    code, out = run(argv, stdin)
+    assert code == 1 and message in json.loads(out)["error"]
+    assert time.perf_counter() - start < 1
+
+
+def test_gen_size_limits_are_inclusive(monkeypatch):
+    monkeypatch.setattr(cli, "GEN_PAIR_BUDGET", 10)
+    monkeypatch.setattr(cli, "MAX_VERTICES", 20)
+    assert parse_graph(run(["gen", "--family", "complete", "--n", "5"])[1]).m == 10
+    assert run(["gen", "--family", "complete", "--n", "6"])[0] == 1
+    assert run(["gen", "--family", "random-genus-lb", "--n", "6"])[0] == 1
+    assert parse_graph(run(["gen", "--family", "cycle", "--n", "20"])[1]).n == 20
+    assert run(["gen", "--family", "cycle", "--n", "21"])[0] == 1
+    base = "p edge 15 0\n"
+    assert parse_graph(run(["gen", "--family", "k5-padding", "--copies", "1"], base)[1]).n == 20
+    assert run(["gen", "--family", "k5-padding", "--copies", "2"], base)[0] == 1
 
 
 def test_text_format():

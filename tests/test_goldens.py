@@ -148,6 +148,14 @@ def _cases(tmp: Path):
     yield "full-graph-over-budget", ["full-graph", "--k", "5", "--d", "3"], ""
     yield "full-graph-too-many-vertices", ["full-graph", "--k", "100", "--d", "2"], ""
 
+    word = _write(tmp, "word.json", _edge_json([[1, 2, "a"], [1, 3, 1]]))
+    yield "oriented-from-inj-string-color", ["oriented-from-inj", "--coloring", word], \
+        "p arc 3 2\na 1 2\na 1 3\n"
+    zero = _write(tmp, "zero.json", _vertex_json([[1, 0], [2, 1], [3, 2]]))
+    yield "verify-oriented-color-zero", ["verify", "--kind", "oriented", zero, path_arc], ""
+    yield "gen-complete-too-many-pairs", ["gen", "--family", "complete", "--n", "100000"], ""
+    yield "gen-path-too-many-vertices", ["gen", "--family", "path", "--n", "2000000"], ""
+
 
 def _digests(tmp: Path) -> dict[str, str]:
     out = {}

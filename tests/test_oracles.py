@@ -1,3 +1,4 @@
+import json
 import random
 from itertools import combinations, product
 
@@ -24,7 +25,9 @@ from injcolor import (
     verify_injective,
     verify_oriented_coloring,
 )
-from injcolor.oracles import _bipartite_coloring, _conflict_adjacency, _Deadline, _dsatur_greedy
+from injcolor.cli import run_command
+from injcolor.dimacs import emit_graph
+from injcolor.oracles import _conflict_adjacency, _Deadline, _solve_chromatic
 from .bruteforce import min_2dipath, min_chromatic, min_injective_colors, min_oriented
 
 
@@ -137,13 +140,11 @@ def test_bipartite_coloring_matches_networkx():
         G = UndirectedGraph(n, edges)
         H = nx.Graph(G.edges())
         H.add_nodes_from(range(n))
-        adj = [G.neighbors(v) for v in range(n)]
-        colors = _bipartite_coloring(list(range(n)), adj)
-        assert (colors is not None) == nx.is_bipartite(H)
-        verdicts.add(colors is not None)
-        if colors is not None:
-            assert sorted(colors) == list(range(n)) and set(colors.values()) <= {1, 2}
-            assert all(colors[u] != colors[v] for u, v in G.edges())
+        coloring = exact_chromatic_coloring(G, OracleBudget(n, G.m))
+        assert (coloring.k <= 2) == nx.is_bipartite(H)
+        verdicts.add(coloring.k <= 2)
+        assert sorted(coloring.colors) == list(range(n))
+        assert all(coloring[u] != coloring[v] for u, v in G.edges())
     assert verdicts == {True, False}
 
 
@@ -173,14 +174,56 @@ def test_conflict_adjacency_matches_pairwise_scan():
                 expected[i].add(j)
                 expected[j].add(i)
         adj = _conflict_adjacency(G, edges, _Deadline(60.0))
-        # Equal sets built in the same insertion order iterate alike, which
-        # keeps the solver's search, and so its coloring, unchanged.
+        # Comparing lists also compares iteration order, which the solver
+        # does not depend on (see
+        # test_chromatic_coloring_ignores_adjacency_insertion_order).
         assert [list(s) for s in adj] == [list(s) for s in expected]
 
 
-def test_dsatur_greedy_honors_the_deadline():
-    n = 1024  # _Deadline reads the clock once per 512 checks
-    adj = [{(v - 1) % n, (v + 1) % n} for v in range(n)]
-    assert len(set(_dsatur_greedy(list(range(n)), adj, _Deadline(60.0)).values())) == 2
+def test_chromatic_search_honors_the_deadline():
+    # An odd cycle: the failing k = 2 search alone passes 512 deadline
+    # checks, where _Deadline reads the clock.  The budget admits the size,
+    # so only the timeout can raise.
+    G = cycle(1025)
+    assert exact_chromatic_number(G, OracleBudget(2000, 2000, timeout=60.0)) == 3
     with pytest.raises(BudgetExceededError):
-        _dsatur_greedy(list(range(n)), adj, _Deadline(-1.0))
+        exact_chromatic_number(G, OracleBudget(2000, 2000, timeout=-1.0))
+
+
+def test_long_directed_path_does_not_exhaust_the_call_stack():
+    # The searches keep their own trail, so depth 1,200 is no RecursionError.
+    D = OrientedGraph(1200, [(v, v + 1) for v in range(1199)])
+    assert exact_oriented_number(D, OracleBudget(1200, 1200)) == 3
+    code, out = run_command(["exact", "--param", "oriented", "--budget-n", "1200",
+                             "--budget-m", "1200"], lambda: emit_graph(D))
+    assert code == 0 and json.loads(out) == {"param": "oriented", "value": 3}
+
+
+def test_empty_and_edgeless_graphs():
+    assert exact_chromatic_number(UndirectedGraph(0)) == 0
+    assert exact_oriented_number(OrientedGraph(0)) == 0
+    assert exact_2dipath_number(OrientedGraph(0)) == 0
+    assert exact_injective_index(UndirectedGraph(3)) == 0
+    assert exact_chromatic_coloring(UndirectedGraph(0)).colors == {}
+
+
+def test_chromatic_coloring_ignores_adjacency_insertion_order():
+    # Vertex ids up to 60 in small sets collide in the hash table, so a
+    # shuffled insertion order changes how the sets iterate.
+    rng = random.Random(11)
+    reordered = 0
+    for _ in range(60):
+        n = rng.randint(2, 60)
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = [p for p in pairs if rng.random() < rng.choice((0.05, 0.15, 0.3))]
+        adjs, colorings = [], []
+        for order in (edges, rng.sample(edges, len(edges))):
+            adj = [set() for _ in range(n)]
+            for u, v in order:
+                adj[u].add(v)
+                adj[v].add(u)
+            adjs.append([list(s) for s in adj])
+            colorings.append(_solve_chromatic(n, adj, _Deadline(60.0)))
+        assert colorings[0] == colorings[1]
+        reordered += adjs[0] != adjs[1]
+    assert reordered

@@ -3,6 +3,8 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injcolor import (
     BudgetExceededError,
@@ -320,3 +322,32 @@ def test_verifiers_agree_with_direct_definitions():
         # every accepted oriented coloring is an accepted 2-dipath coloring
         if verify_oriented_coloring(D, vc):
             assert verify_2dipath(D, vc)
+
+
+@st.composite
+def colored_orientations(draw):
+    """An arbitrary orientation on 0-7 vertices, an assignment of 1-4 colors,
+    and a vertex to leave uncolored (None when n = 0)."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
+    k = draw(st.integers(min_value=1, max_value=4))
+    assignment = draw(st.lists(st.integers(min_value=1, max_value=k), min_size=n, max_size=n))
+    missing = draw(st.integers(min_value=0, max_value=n - 1)) if n else None
+    return n, arcs, assignment, missing
+
+
+@settings(max_examples=300, deadline=None)
+@given(colored_orientations())
+def test_verifiers_match_direct_definitions_on_any_orientation(case):
+    n, arcs, assignment, missing = case
+    D = OrientedGraph(n, arcs)
+    vc = VertexColoring(dict(enumerate(assignment)))
+    assert verify_oriented_coloring(D, vc) == oriented_assignment_valid(arcs, assignment)
+    assert verify_2dipath(D, vc) == dipath2_assignment_valid(n, arcs, assignment)
+    if missing is not None:
+        partial = VertexColoring({v: c for v, c in enumerate(assignment) if v != missing})
+        for verify in (verify_oriented_coloring, verify_2dipath):
+            with pytest.raises(InvalidColoringError):
+                verify(D, partial)
