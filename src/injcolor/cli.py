@@ -1,9 +1,10 @@
 """Command-line surface tying the modules together.
 
 Graphs arrive on stdin in the DIMACS-like text format, reports leave on
-stdout as JSON (or plain text with --format text).  Exit codes: 0 success
-with verifier true, 1 input, budget or construction errors, 2 verifier
-false.
+stdout as JSON (or plain text with --format text).  Each subcommand is one
+handler, registered with its flags; a coloring file must color exactly the
+graph's vertices or edges.  Exit codes: 0 success with verifier true, 1
+input, budget or construction errors, 2 verifier false.
 """
 
 from __future__ import annotations
@@ -56,15 +57,13 @@ class _CliParser(argparse.ArgumentParser):
         raise ParseError(message)
 
 
-def _subcommand(sub, name: str, *, seed: bool = False, genus: bool = False) -> _CliParser:
-    """A subcommand taking --format, plus --seed and --g where it reads them."""
+def _subcommand(sub, name: str, run: Callable, *, seed: bool = False) -> _CliParser:
+    """A subcommand handled by run, taking --format, plus --seed where run reads it."""
     p = sub.add_parser(name)
+    p.set_defaults(run=run)
     p.add_argument("--format", choices=("json", "text"), default="json")
     if seed:
         p.add_argument("--seed", type=int, default=0)
-    if genus:
-        # Optional for argparse: _need_genus refuses a missing --g with its own message.
-        p.add_argument("--g", type=int, default=None)
     return p
 
 
@@ -72,48 +71,42 @@ def _build_parser() -> _CliParser:
     parser = _CliParser(prog="injcolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    _subcommand(sub, "inj-degenerate", seed=True)
-    _subcommand(sub, "inj-genus", seed=True, genus=True)
-    _subcommand(sub, "oriented-genus", seed=True, genus=True)
-    p = _subcommand(sub, "oriented-2dipath", seed=True, genus=True)
-    p.add_argument("--unverified-full", action="store_true")
-    _subcommand(sub, "subdivide")
+    _subcommand(sub, "inj-degenerate", _inj_degenerate, seed=True)
+    for name in ("inj-genus", "oriented-genus", "oriented-2dipath"):
+        p = _subcommand(sub, name, _genus, seed=True)
+        p.add_argument("--g", type=int, required=True)
+    p.add_argument("--unverified-full", action="store_true")  # on oriented-2dipath
+    _subcommand(sub, "subdivide", _subdivide)
 
-    p = _subcommand(sub, "exact")
+    p = _subcommand(sub, "exact", _exact)
     p.add_argument("--param", choices=("inj", "chromatic", "oriented", "2dipath"),
                    required=True)
     p.add_argument("--budget-n", type=int, default=OracleBudget.max_vertices)
     p.add_argument("--budget-m", type=int, default=OracleBudget.max_edges)
 
-    p = _subcommand(sub, "oriented-from-inj")
+    p = _subcommand(sub, "oriented-from-inj", _oriented_from_inj)
     p.add_argument("--coloring", required=True, help="edge-coloring JSON file")
 
-    p = _subcommand(sub, "verify")
+    p = _subcommand(sub, "verify", _verify)
     p.add_argument("--kind", choices=("inj", "oriented", "2dipath"), required=True)
     p.add_argument("coloring", help="coloring JSON file")
     p.add_argument("graph", help="graph file")
 
-    p = _subcommand(sub, "gen", seed=True)
+    p = _subcommand(sub, "gen", _generate, seed=True)
     p.add_argument("--family", required=True,
                    choices=("complete", "path", "cycle", "random-genus-lb", "k5-padding"))
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--copies", type=int, default=0)
 
-    p = _subcommand(sub, "family", seed=True)
+    p = _subcommand(sub, "family", _family, seed=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--r", type=int, required=True)
 
-    p = _subcommand(sub, "full-graph", seed=True)
+    p = _subcommand(sub, "full-graph", _full_graph, seed=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
 
     return parser
-
-
-def _need_genus(args) -> int:
-    if args.g is None:
-        raise ParseError("this command requires --g <genus>")
-    return args.g
 
 
 def _read_graph(text: str, kind: type) -> UndirectedGraph | OrientedGraph:
@@ -122,6 +115,36 @@ def _read_graph(text: str, kind: type) -> UndirectedGraph | OrientedGraph:
         what = "an undirected (p edge)" if kind is UndirectedGraph else "an oriented (p arc)"
         raise ParseError(f"this command needs {what} graph")
     return graph
+
+
+def _read_coloring(path: str, kind: type, graph: UndirectedGraph | OrientedGraph
+                   ) -> EdgeColoring | VertexColoring:
+    """The kind (EdgeColoring or VertexColoring) coloring in the JSON file at
+    path, refused unless it colors exactly the edges (of the underlying graph)
+    or the vertices of graph.  Errors name ids from 1, as the file does."""
+    with open(path, encoding="utf-8") as fh:
+        coloring = coloring_from_obj(json.load(fh))
+    edges = kind is EdgeColoring
+    if not isinstance(coloring, kind):
+        raise ParseError(f"this command needs {'an edge' if edges else 'a vertex'} coloring")
+    if edges and isinstance(graph, OrientedGraph):
+        graph = graph.underlying()  # built after the parsed JSON is freed: a lower peak
+    extra = next((x for x in coloring.colors
+                  if not (graph.has_edge(*x) if edges else x < graph.n)), None)
+    if extra is not None:
+        others = "non-edges" if edges else "non-vertices"
+        raise InvalidColoringError(f"colored {others} present, e.g. {_one_based(extra)}")
+    # The ids are distinct and all in the graph, so only a short file misses one.
+    if len(coloring.colors) < (graph.m if edges else graph.n):
+        items = graph.edges() if edges else range(graph.n)
+        missing = next(x for x in items if x not in coloring.colors)
+        raise InvalidColoringError(f"{'edge' if edges else 'vertex'} {_one_based(missing)} "
+                                   "has no color")
+    return coloring
+
+
+def _one_based(item: int | tuple[int, int]) -> int | tuple[int, int]:
+    return item + 1 if isinstance(item, int) else (item[0] + 1, item[1] + 1)
 
 
 def _render(obj: dict, fmt: str) -> str:
@@ -140,120 +163,79 @@ def _render(obj: dict, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _coloring_report(coloring, report, valid: bool) -> dict:
-    return {
-        "coloring": coloring_to_obj(coloring),
-        "colors": coloring.k,
-        "valid": valid,
-        "report": report,
-    }
+# Handlers return a report dict or raw stdout text.  They look the pipelines
+# up as module globals at call time, so a wrapper installed on this module's
+# attributes (as the perfbench tracer does) sees every call.
+
+def _exact(args, read_stdin: Callable[[], str]) -> dict:
+    budget = OracleBudget(max_vertices=args.budget_n, max_edges=args.budget_m)
+    kind = UndirectedGraph if args.param in ("inj", "chromatic") else OrientedGraph
+    graph = _read_graph(read_stdin(), kind)
+    oracle = {"inj": exact_injective_index, "chromatic": exact_chromatic_number,
+              "oriented": exact_oriented_number, "2dipath": exact_2dipath_number}[args.param]
+    return {"param": args.param, "value": oracle(graph, budget)}
 
 
-# Genus command -> (graph type, report.checks key, pipeline).  The lambdas
-# look the pipelines up by module name at call time, so a wrapper installed
-# on this module's attributes (as the perfbench tracer does) sees the calls.
-_GENUS_COMMANDS = {
-    "inj-genus": (UndirectedGraph, "injective_valid",
-                  lambda graph, g, args: injective_color_genus(graph, g, args.seed)),
-    "oriented-genus": (OrientedGraph, "oriented_valid",
-                       lambda graph, g, args: oriented_color_genus(graph, g, args.seed)),
-    "oriented-2dipath": (OrientedGraph, "oriented_valid",
-                         lambda graph, g, args: oriented_color_genus_via_2dipath(
-                             graph, g, args.seed, allow_uncertified_full=args.unverified_full)),
-}
+def _inj_degenerate(args, read_stdin: Callable[[], str]) -> dict:
+    graph = _read_graph(read_stdin(), UndirectedGraph)
+    coloring = injective_color_degenerate(graph, args.seed)
+    valid = verify_injective(graph, coloring)
+    return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
+            "report": {"seed": args.seed}}
 
 
-def _dispatch(args, read_stdin: Callable[[], str]) -> tuple[int, dict | str]:
-    cmd = args.command
-    if cmd == "exact":
-        budget = OracleBudget(max_vertices=args.budget_n, max_edges=args.budget_m)
-        graph = parse_graph(read_stdin())
-        if args.param in ("inj", "chromatic"):
-            if not isinstance(graph, UndirectedGraph):
-                raise ParseError(f"--param {args.param} needs a p edge graph")
-            value = (exact_injective_index(graph, budget) if args.param == "inj"
-                     else exact_chromatic_number(graph, budget))
-        else:
-            if not isinstance(graph, OrientedGraph):
-                raise ParseError(f"--param {args.param} needs a p arc graph")
-            value = (exact_oriented_number(graph, budget) if args.param == "oriented"
-                     else exact_2dipath_number(graph, budget))
-        return EXIT_OK, {"param": args.param, "value": value}
-
-    if cmd == "inj-degenerate":
+def _genus(args, read_stdin: Callable[[], str]) -> dict:
+    if args.command == "inj-genus":
         graph = _read_graph(read_stdin(), UndirectedGraph)
-        coloring = injective_color_degenerate(graph, args.seed)
-        valid = verify_injective(graph, coloring)
-        out = _coloring_report(coloring, {"seed": args.seed}, valid)
-        return (EXIT_OK if valid else EXIT_INVALID), out
-
-    if cmd in _GENUS_COMMANDS:
-        kind, check, pipeline = _GENUS_COMMANDS[cmd]
-        graph = _read_graph(read_stdin(), kind)
-        coloring, report = pipeline(graph, _need_genus(args), args)
-        valid = report.checks[check]
-        out = _coloring_report(coloring, report.to_dict(), valid)
-        return (EXIT_OK if valid else EXIT_INVALID), out
-
-    if cmd == "oriented-from-inj":
+        coloring, report = injective_color_genus(graph, args.g, args.seed)
+        valid = report.checks["injective_valid"]
+    else:
         graph = _read_graph(read_stdin(), OrientedGraph)
-        with open(args.coloring, encoding="utf-8") as fh:
-            edge_coloring = coloring_from_obj(json.load(fh))
-        if not isinstance(edge_coloring, EdgeColoring):
-            raise ParseError("--coloring must hold an edge coloring")
-        if not verify_injective(graph.underlying(), edge_coloring):
-            raise InvalidColoringError("edge coloring is not injective")
-        coloring = oriented_from_injective(graph, edge_coloring)
-        valid = verify_oriented_coloring(graph, coloring)
-        out = _coloring_report(coloring, {"injective_colors": edge_coloring.k}, valid)
-        return (EXIT_OK if valid else EXIT_INVALID), out
-
-    if cmd == "subdivide":
-        graph = _read_graph(read_stdin(), UndirectedGraph)
-        return EXIT_OK, emit_graph(subdivide(graph))
-
-    if cmd == "verify":
-        with open(args.coloring, encoding="utf-8") as fh:
-            coloring = coloring_from_obj(json.load(fh))
-        with open(args.graph, encoding="utf-8") as fh:
-            graph = parse_graph(fh.read())
-        if args.kind == "inj":
-            if not isinstance(graph, UndirectedGraph) or not isinstance(coloring, EdgeColoring):
-                raise ParseError("inj verification needs a p edge graph and an edge coloring")
-            valid = verify_injective(graph, coloring)
+        if args.command == "oriented-genus":
+            coloring, report = oriented_color_genus(graph, args.g, args.seed)
         else:
-            if not isinstance(graph, OrientedGraph) or not isinstance(coloring, VertexColoring):
-                raise ParseError(f"{args.kind} verification needs a p arc graph and a "
-                                 "vertex coloring")
-            valid = (verify_oriented_coloring(graph, coloring) if args.kind == "oriented"
-                     else verify_2dipath(graph, coloring))
-        return (EXIT_OK if valid else EXIT_INVALID), {"kind": args.kind, "valid": valid}
+            coloring, report = oriented_color_genus_via_2dipath(
+                graph, args.g, args.seed, allow_uncertified_full=args.unverified_full)
+        valid = report.checks["oriented_valid"]
+    return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
+            "report": report.to_dict()}
 
-    if cmd == "gen":
-        return EXIT_OK, _generate(args, read_stdin)
 
-    if cmd == "family":
-        fam = build_separating_family(args.k, args.r, args.seed)
-        return EXIT_OK, {
-            "k": fam.k,
-            "r": fam.r,
-            "size": len(fam.sets),
-            "sets": [sorted(s) for s in fam.sets],
-            "valid": True,
-        }
+def _oriented_from_inj(args, read_stdin: Callable[[], str]) -> dict:
+    graph = _read_graph(read_stdin(), OrientedGraph)
+    edge_coloring = _read_coloring(args.coloring, EdgeColoring, graph)
+    if not verify_injective(graph.underlying(), edge_coloring):
+        raise InvalidColoringError("edge coloring is not injective")
+    coloring = oriented_from_injective(graph, edge_coloring)
+    valid = verify_oriented_coloring(graph, coloring)
+    return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
+            "report": {"injective_colors": edge_coloring.k}}
 
-    if cmd == "full-graph":
-        full = build_full_graph(args.k, args.d, args.seed)
-        return EXIT_OK, {
-            "k": full.k,
-            "d": full.d,
-            "part_size": full.N,
-            "vertices": full.n,
-            "arcs": full.arc_count,
-            "verified": True,
-        }
 
-    raise ParseError(f"unknown command {cmd!r}")
+def _subdivide(args, read_stdin: Callable[[], str]) -> str:
+    return emit_graph(subdivide(_read_graph(read_stdin(), UndirectedGraph)))
+
+
+def _verify(args, read_stdin: Callable[[], str]) -> dict:
+    inj = args.kind == "inj"
+    with open(args.graph, encoding="utf-8") as fh:
+        graph = _read_graph(fh.read(), UndirectedGraph if inj else OrientedGraph)
+    coloring = _read_coloring(args.coloring, EdgeColoring if inj else VertexColoring, graph)
+    verifier = {"inj": verify_injective, "oriented": verify_oriented_coloring,
+                "2dipath": verify_2dipath}[args.kind]
+    return {"kind": args.kind, "valid": verifier(graph, coloring)}
+
+
+def _family(args, read_stdin: Callable[[], str]) -> dict:
+    fam = build_separating_family(args.k, args.r, args.seed)
+    return {"k": fam.k, "r": fam.r, "size": len(fam.sets),
+            "sets": [sorted(s) for s in fam.sets], "valid": True}
+
+
+def _full_graph(args, read_stdin: Callable[[], str]) -> dict:
+    full = build_full_graph(args.k, args.d, args.seed)
+    return {"k": full.k, "d": full.d, "part_size": full.N, "vertices": full.n,
+            "arcs": full.arc_count, "verified": True}
 
 
 def _refuse_oversized(n: int, all_pairs: bool) -> None:
@@ -299,14 +281,15 @@ def run_command(
     try:
         args = _build_parser().parse_args(list(argv))
         fmt = args.format
-        code, result = _dispatch(args, read_stdin)
+        result = args.run(args, read_stdin)
     # ValueError covers ParseError, InvalidColoringError and the genus
     # refusals; InjcolorError covers budgets and failed constructions.
     except (InjcolorError, ValueError, OSError) as exc:
         return EXIT_INPUT_ERROR, _render({"error": str(exc)}, fmt)
     if isinstance(result, str):
-        return code, result
-    return code, _render(result, fmt)
+        return EXIT_OK, result
+    # A verifier's false verdict is the one report that exits 2.
+    return (EXIT_INVALID if result.get("valid") is False else EXIT_OK), _render(result, fmt)
 
 
 def main() -> None:

@@ -228,9 +228,9 @@ def oriented_color_genus_via_2dipath(
     After stripping the edges inside the first 6g vertices, the remainder is
     greedily 2-dipath colored with k colors (padded up to 5) and embedded by
     homomorphism into a (k, d)-full target, d being the stripped graph's
-    degeneracy.  build_full_graph certifies targets only up to order
-    oriented.FULL_ORDER_BUDGET and FULL_VERTEX_BUDGET vertices and raises
-    BudgetExceededError beyond them; the pipeline then re-raises that refusal
+    degeneracy.  build_full_graph certifies targets of at most
+    oriented.FULL_VERTEX_BUDGET vertices, so only of order 2, and raises
+    BudgetExceededError beyond; the pipeline then re-raises that refusal
     unless allow_uncertified_full asks for an uncertified sampled target.
     """
     G = D.underlying()
@@ -257,7 +257,8 @@ def oriented_color_genus_via_2dipath(
         except BudgetExceededError as exc:
             if not allow_uncertified_full:
                 raise BudgetExceededError(
-                    f"{exc}  Pass allow_uncertified_full to sample an uncertified target."
+                    f"{exc}  Pass allow_uncertified_full (--unverified-full on the "
+                    "command line) to sample an uncertified target."
                 ) from None
             target = sample_full_orientation(k, order_needed, derive_seed(rng_seed, 1))
             stats["certified_target"] = False

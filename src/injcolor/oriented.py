@@ -29,7 +29,6 @@ from .graphs import (
 from .rng import pair_bit
 
 FULL_BUILD_ATTEMPTS = 64
-FULL_ORDER_BUDGET = 2  # the largest order d that build_full_graph certifies
 FULL_VERTEX_BUDGET = 4096  # the most vertices k * N that build_full_graph draws
 
 
@@ -160,19 +159,14 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
 
     The failure probability of a single draw is bounded by
     k * (k*N)^d * 2^d * exp(-N / 2^d), which is far below 1 for k >= 5 and
-    d >= 2, so redraws are rare.  Orders d above FULL_ORDER_BUDGET, on which
-    verify_full could not finish (at d = 3, N is already 825 for k = 5), and
-    targets of more than FULL_VERTEX_BUDGET vertices raise
-    BudgetExceededError before anything is drawn.
+    d >= 2, so redraws are rare.  Targets of more than FULL_VERTEX_BUDGET
+    vertices raise BudgetExceededError before anything is drawn; that refuses
+    every d >= 3, on which verify_full could not finish, since there
+    k * N >= 5 * 825 = 4125.
     """
     if k < 5 or d < 2:
         raise ValueError("requires k >= 5 and d >= 2")
     part_size = full_part_size(k, d)
-    if d > FULL_ORDER_BUDGET:
-        raise BudgetExceededError(
-            f"sign-pattern order {d} exceeds the verification budget "
-            f"{FULL_ORDER_BUDGET}; part size would be {part_size}."
-        )
     n = k * part_size
     if n > FULL_VERTEX_BUDGET:
         raise BudgetExceededError(
@@ -218,7 +212,7 @@ def verify_full(H: FullGraph) -> bool:
     i, and every choice of the last vertex and sign succeeds iff the union
     of W's out-masks and the union of W's in-masks each cover every other
     outside vertex.  That is C(n - N, d - 1) * 2^(d - 1) pool scans per
-    part, which is why build_full_graph stops at FULL_ORDER_BUDGET.
+    part, which is why build_full_graph's vertex budget stops it at d = 2.
     """
     n, N, k, d = H.n, H.N, H.k, H.d
     if N < 1:

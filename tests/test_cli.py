@@ -309,6 +309,61 @@ def test_oriented_from_inj_rejects_bad_colorings(tmp_path):
         assert code == 1 and message in json.loads(out)["error"]
 
 
+_ARC = "p arc 2 1\na 1 2\n"
+_DIPATH = "p arc 3 2\na 1 2\na 2 3\n"
+_VERIFY = ["verify", "--kind", "{kind}", "{coloring}", "{graph}"]
+_FROM_INJ = ["oriented-from-inj", "--coloring", "{coloring}"]
+
+
+@pytest.mark.parametrize("argv, kind, graph, assign, message", [
+    (_VERIFY, "oriented", _ARC, [[1, 1], [2, 2], [9, 3]], "colored non-vertices present, e.g. 9"),
+    (_VERIFY, "2dipath", _ARC, [[1, 1], [2, 2], [9, 3]], "colored non-vertices present, e.g. 9"),
+    (_VERIFY, "oriented", _DIPATH, [[1, 1], [2, 2]], "vertex 3 has no color"),
+    (_VERIFY, "2dipath", _DIPATH, [[1, 1], [2, 2]], "vertex 3 has no color"),
+    (_VERIFY, "inj", _EDGE_PATH, [[1, 2, 1]], "edge (2, 3) has no color"),
+    (_VERIFY, "inj", _EDGE_PATH, [[1, 2, 1], [2, 3, 2], [3, 1, 3]],
+     "colored non-edges present, e.g. (1, 3)"),
+    (_FROM_INJ, None, _DIPATH, [[1, 2, 1]], "edge (2, 3) has no color"),
+    (_FROM_INJ, None, _DIPATH, [[1, 2, 1], [2, 3, 2], [1, 3, 3]],
+     "colored non-edges present, e.g. (1, 3)"),
+], ids=["oriented-extra-vertex", "2dipath-extra-vertex", "oriented-uncolored",
+        "2dipath-uncolored", "inj-uncolored", "inj-non-edge", "from-inj-uncolored",
+        "from-inj-non-edge"])
+def test_coloring_must_match_the_graph_in_one_based_ids(tmp_path, argv, kind, graph, assign,
+                                                       message):
+    cpath, gpath = tmp_path / "coloring.json", tmp_path / "graph.gr"
+    what = "edge" if len(assign[0]) == 3 else "vertex"
+    cpath.write_text(json.dumps({"kind": what, "k": 3, "assign": assign}))
+    gpath.write_text(graph)
+    argv = [arg.format(kind=kind, coloring=cpath, graph=gpath) for arg in argv]
+    code, out = run(argv, graph)
+    assert code == 1 and json.loads(out) == {"error": message}
+
+
+@pytest.mark.parametrize("argv, graph, message", [
+    (["exact", "--param", "inj"], _ARC, "needs an undirected (p edge) graph"),
+    (["exact", "--param", "chromatic"], _ARC, "needs an undirected (p edge) graph"),
+    (["exact", "--param", "oriented"], _EDGE_PATH, "needs an oriented (p arc) graph"),
+    (["exact", "--param", "2dipath"], _EDGE_PATH, "needs an oriented (p arc) graph"),
+    (["verify", "--kind", "inj", "{vertex}", "{arc}"], "", "needs an undirected (p edge) graph"),
+    (["verify", "--kind", "oriented", "{vertex}", "{edge}"], "", "needs an oriented (p arc) graph"),
+    (["verify", "--kind", "2dipath", "{vertex}", "{edge}"], "", "needs an oriented (p arc) graph"),
+    (["verify", "--kind", "inj", "{vertex}", "{edge}"], "", "needs an edge coloring"),
+    (["verify", "--kind", "oriented", "{edge_coloring}", "{arc}"], "", "needs a vertex coloring"),
+    (["verify", "--kind", "2dipath", "{edge_coloring}", "{arc}"], "", "needs a vertex coloring"),
+], ids=["exact-inj", "exact-chromatic", "exact-oriented", "exact-2dipath", "verify-inj-arc-graph",
+        "verify-oriented-edge-graph", "verify-2dipath-edge-graph", "verify-inj-vertex-coloring",
+        "verify-oriented-edge-coloring", "verify-2dipath-edge-coloring"])
+def test_kind_mismatches_exit_1_with_json_error(tmp_path, argv, graph, message):
+    files = {"vertex": json.dumps({"kind": "vertex", "k": 2, "assign": [[1, 1], [2, 2]]}),
+             "edge_coloring": json.dumps(_EDGE_COLORING), "arc": _ARC, "edge": _EDGE}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    argv = [arg.format(**{name: tmp_path / name for name in files}) for arg in argv]
+    code, out = run(argv, graph)
+    assert code == 1 and message in json.loads(out)["error"]
+
+
 def test_comment_lines_need_a_c_token():
     G = parse_graph("c\nc some text\n\tc indented\np edge 2 1\ne 1 2\n")
     assert (G.n, G.m) == (2, 1)
@@ -350,7 +405,7 @@ def test_family_and_full_graph_subcommands():
 def test_full_graph_over_budget_is_refused_at_once():
     start = time.perf_counter()
     code, out = run(["full-graph", "--k", "5", "--d", "3"])
-    assert code == 1 and "exceeds the verification budget" in json.loads(out)["error"]
+    assert code == 1 and "4125 vertices exceeds the budget 4096" in json.loads(out)["error"]
     assert time.perf_counter() - start < 1
 
 

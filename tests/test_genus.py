@@ -62,6 +62,15 @@ def test_injective_genus_rejects_dense_input():
         injective_color_genus(complete_graph(8), 2, 0)
 
 
+def test_pipelines_refuse_a_vertex_beyond_the_class_caps():
+    # Both graphs pass the Heawood degeneracy check; a later vertex then has
+    # more out-neighbors than the caps for g allow (6 > 5 at g = 2, 7 > 6 at g = 4).
+    with pytest.raises(DegeneracyExceedsGenusError, match="beyond the caps"):
+        injective_color_genus(random_degenerate_graph(40, 6, 1), 2)
+    with pytest.raises(DegeneracyExceedsGenusError, match="beyond the caps"):
+        oriented_color_genus(random_orientation(random_degenerate_graph(60, 7, 1), 1), 4)
+
+
 def test_oriented_genus_k8_small_branch():
     K8 = complete_graph(8)
     D = random_orientation(K8, 3)

@@ -155,6 +155,11 @@ def _cases(tmp: Path):
     yield "verify-oriented-color-zero", ["verify", "--kind", "oriented", zero, path_arc], ""
     yield "gen-complete-too-many-pairs", ["gen", "--family", "complete", "--n", "100000"], ""
     yield "gen-path-too-many-vertices", ["gen", "--family", "path", "--n", "2000000"], ""
+    # Both pass the Heawood check; one vertex then exceeds the class caps for g.
+    yield "inj-genus-class-cap", ["inj-genus", "--g", "2"], emit_graph(
+        random_degenerate_graph(40, 6, 1))
+    yield "oriented-genus-class-cap", ["oriented-genus", "--g", "4"], emit_graph(
+        random_orientation(random_degenerate_graph(60, 7, 1), 1))
 
 
 def _digests(tmp: Path) -> dict[str, str]:

@@ -105,7 +105,7 @@ def test_build_full_graph_rejects_small_parameters():
     with pytest.raises(ValueError):
         build_full_graph(5, 1)
     # refused before any arc is drawn: N would be 825 and verification endless
-    with pytest.raises(BudgetExceededError, match="part size would be 825"):
+    with pytest.raises(BudgetExceededError, match="4125 vertices exceeds the budget 4096"):
         build_full_graph(5, 3)
 
 
