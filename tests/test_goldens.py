@@ -160,6 +160,19 @@ def _cases(tmp: Path):
         random_degenerate_graph(40, 6, 1))
     yield "oriented-genus-class-cap", ["oriented-genus", "--g", "4"], emit_graph(
         random_orientation(random_degenerate_graph(60, 7, 1), 1))
+    # g = 3 (class cap 7, V1 prefix 16) and g = 21 (class cap 9, V1 prefix 41),
+    # on 2- and 3-degenerate inputs well past the 6g oriented prefix.
+    for g, n in ((3, 80), (21, 300)):
+        for d in (2, 3):
+            G = random_degenerate_graph(n, d, g)
+            arcs = emit_graph(random_orientation(G, g + d))
+            seed = ["--g", str(g), "--seed", str(d)]
+            yield f"inj-genus-g{g}-{d}deg", ["inj-genus", *seed], emit_graph(G)
+            yield f"oriented-genus-g{g}-{d}deg", ["oriented-genus", *seed], arcs
+            # Order 3 is beyond the certified budget, so 3-degenerate inputs
+            # take the uncertified route.
+            flags = ["--unverified-full"] if d == 3 else []
+            yield f"oriented-2dipath-g{g}-{d}deg", ["oriented-2dipath", *seed, *flags], arcs
 
 
 def _digests(tmp: Path) -> dict[str, str]:
