@@ -5,6 +5,11 @@ g and the pipelines check cheap necessary conditions, refusing inputs that
 provably violate the assertion.  Headline color counts are asymptotic in g,
 so the pipelines certify validity through the verifiers and report raw
 counts instead of asserting asymptotic bounds.
+
+Each pipeline splits the degeneracy order into a prefix V1 and the rest V2.
+The injective one gives each edge inside V1 a fresh color and colors the arcs
+leaving V2 in one class step; the oriented ones share a front, which strips
+the arcs inside V1, and a back, which gives V1 unique colors and reports.
 """
 
 from __future__ import annotations
@@ -68,9 +73,9 @@ def heawood_degeneracy_bound(genus: int) -> int:
     return (5 + math.isqrt(1 + 24 * genus)) // 2
 
 
-def _genus_ordering(G: UndirectedGraph, genus: int) -> tuple[VertexOrdering, int]:
-    """The degeneracy order of G and the Heawood bound, after refusing a
-    genus below 2 or a degeneracy above the bound."""
+def _genus_ordering(G: UndirectedGraph, genus: int, rng_seed: int) -> tuple[VertexOrdering, dict]:
+    """The degeneracy order of G and the stats every report opens with, after
+    refusing a genus below 2 or a degeneracy above the Heawood bound."""
     if genus < 2:
         raise GenusTooSmallError("the pipelines require an asserted genus of at least 2")
     ordering = degeneracy_order(G)
@@ -79,17 +84,39 @@ def _genus_ordering(G: UndirectedGraph, genus: int) -> tuple[VertexOrdering, int
         raise DegeneracyExceedsGenusError(
             f"degeneracy {ordering.d} exceeds {bound}, impossible at Euler genus {genus}"
         )
-    return ordering, bound
+    return ordering, {"seed": rng_seed, "degeneracy": ordering.d, "heawood_bound": bound}
 
 
-def _check_class_caps(D: OrientedGraph, v2: list[int], proper: VertexColoring,
-                      class_cap: int, outdeg_cap: int, genus: int) -> None:
+def _color_classes(D: OrientedGraph, v2: tuple[int, ...], proper: VertexColoring, genus: int,
+                   rng_seed: int, class_cap: int, r: int = 0
+                   ) -> tuple[EdgeColoring, dict[str, int], dict[str, int]]:
+    """Color the arcs leaving v2, one greedy class X at a time, after refusing
+    a vertex whose class exceeds class_cap or whose out-degree reaches it.
+
+    Each class peel-colors the clique graph of its out-neighborhoods, then
+    separates those colors with an order-r family; r defaults to the largest
+    out-degree in X, at least 2.  Returns the coloring and, per class, its
+    color count and its peel color count.
+    """
     for v in v2:
-        if proper[v] > class_cap or D.out_degree(v) > outdeg_cap:
+        if proper[v] > class_cap or D.out_degree(v) >= class_cap:
             raise DegeneracyExceedsGenusError(
                 f"vertex {v} needs color {proper[v]} with out-degree {D.out_degree(v)}, "
-                f"beyond the caps ({class_cap}, {outdeg_cap}) for genus {genus}"
+                f"beyond the caps ({class_cap}, {class_cap - 1}) for genus {genus}"
             )
+    peel_colors: dict[str, int] = {}
+
+    def color_class(cls: int, X: list[int]) -> EdgeColoring:
+        hyper, originals = neighborhood_hypergraph(D, X)
+        dense = peel_color_clique_graph(hyper, genus=genus)
+        hcol = VertexColoring({originals[i]: c for i, c in dense.colors.items()})
+        peel_colors[f"class_{cls}"] = hcol.k
+        order = r or max(2, max(D.out_degree(x) for x in X))
+        family = build_separating_family(max(hcol.k, order), order, derive_seed(rng_seed, cls))
+        return color_arcs_deterministic(D, X, hcol, family)
+
+    classes, phase_colors = color_greedy_classes(D, v2, proper, color_class)
+    return classes, phase_colors, peel_colors
 
 
 def injective_color_genus(
@@ -105,76 +132,54 @@ def injective_color_genus(
     deterministically through a clique-graph peel coloring and a separating
     family.
     """
-    ordering, heawood = _genus_ordering(G, genus)
-    D = orient_by_ordering(G, ordering)
-    proper = greedy_color(G, ordering)
-
+    ordering, stats = _genus_ordering(G, genus, rng_seed)
     log_g = math.log(genus)
-    split = min(G.n, math.ceil(6 * genus / log_g) - 1)
-    order = ordering.order
-    v1 = set(order[:split])
-    v2 = list(order[split:])
+    split = math.ceil(6 * genus / log_g) - 1
+    v1, v2 = set(ordering.order[:split]), ordering.order[split:]
     class_cap = math.floor(log_g) + 6
-    _check_class_caps(D, v2, proper, class_cap, class_cap - 1, genus)
+    classes, phase_colors, peel_colors = _color_classes(
+        orient_by_ordering(G, ordering), v2, greedy_color(G, ordering), genus, rng_seed,
+        class_cap)
 
-    per_class_peel: dict[str, int] = {}
-
-    def color_class(cls: int, X: list[int]) -> EdgeColoring:
-        r = max(2, max(D.out_degree(x) for x in X))
-        part, peel = _color_genus_class(D, X, genus, r, derive_seed(rng_seed, cls))
-        per_class_peel[f"class_{cls}"] = peel
-        return part
-
-    classes, phase_colors = color_greedy_classes(D, v2, proper, color_class)
     inner = [(u, v) for u, v in G.edges() if u in v1 and v in v1]
     merged = dict(classes.colors)
     merged.update((e, classes.k + i) for i, e in enumerate(inner, start=1))
     phase_colors["v1_fresh"] = len(inner)
     coloring = EdgeColoring(merged)
     edge_bound = 6 * genus + 36 * genus / log_g
-    report = PipelineReport(
-        colors_used=coloring.k,
-        v1_size=len(v1),
-        v2_size=len(v2),
-        phase_colors=phase_colors,
-        checks={
-            "injective_valid": verify_injective(G, coloring),
-            "v1_edge_bound_ok": 2 * len(inner) < edge_bound,
-        },
-        stats={
-            "seed": rng_seed,
-            "degeneracy": ordering.d,
-            "heawood_bound": heawood,
-            "class_cap": class_cap,
-            "v1_edges": len(inner),
-            "v1_edge_bound": edge_bound,
-            "peel_colors": per_class_peel,
-        },
+    return coloring, PipelineReport(
+        colors_used=coloring.k, v1_size=len(v1), v2_size=len(v2), phase_colors=phase_colors,
+        checks={"injective_valid": verify_injective(G, coloring),
+                "v1_edge_bound_ok": 2 * len(inner) < edge_bound},
+        stats=dict(stats, class_cap=class_cap, v1_edges=len(inner), v1_edge_bound=edge_bound,
+                   peel_colors=peel_colors),
     )
-    return coloring, report
 
 
-def _color_genus_class(
-    D: OrientedGraph, X: list[int], genus: int, r: int, seed: int
-) -> tuple[EdgeColoring, int]:
-    """Color the arcs leaving class X deterministically: peel-color the
-    clique graph of X's out-neighborhoods, then separate those colors with
-    an order-r family.  Returns the coloring and the peel color count."""
-    hyper, originals = neighborhood_hypergraph(D, X)
-    dense = peel_color_clique_graph(hyper, genus=genus)
-    hcol = VertexColoring({originals[i]: c for i, c in dense.colors.items()})
-    family = build_separating_family(max(hcol.k, r), r, seed)
-    return color_arcs_deterministic(D, X, hcol, family), hcol.k
+def _strip_prefix(D: OrientedGraph, genus: int, rng_seed: int):
+    """The front of the oriented pipelines: G = D's underlying graph, its
+    checked degeneracy order with the opening stats, V1 = the first 6g
+    vertices of the order, V2 = the rest, and D without the arcs inside V1."""
+    G = D.underlying()
+    ordering, stats = _genus_ordering(G, genus, rng_seed)
+    v1 = set(ordering.order[: 6 * genus])
+    stripped = OrientedGraph(D.n, [(a, b) for a, b in D.arcs() if a not in v1 or b not in v1])
+    return G, ordering, stats, v1, ordering.order[6 * genus:], stripped
 
 
-def _split_after_6g(D: OrientedGraph, ordering: VertexOrdering, genus: int):
-    order = ordering.order
-    v1 = set(order[: 6 * genus])
-    v2 = list(order[6 * genus:])
-    restricted = OrientedGraph(
-        D.n, [(a, b) for a, b in D.arcs() if a not in v1 or b not in v1]
+def _finish_oriented(D: OrientedGraph, v1: set[int], v2: tuple[int, ...], base: VertexColoring,
+                     phase_colors: dict[str, int], stats: dict[str, object], check: str,
+                     limit: float) -> tuple[VertexColoring, PipelineReport]:
+    """The back of the oriented pipelines: unique colors for V1 on top of
+    base, then the report, whose count check `check` holds when the final
+    count stays below limit."""
+    final = add_unique_colors(D, v1, base)
+    return final, PipelineReport(
+        colors_used=final.k, v1_size=len(v1), v2_size=len(v2),
+        phase_colors=dict(phase_colors, base_oriented=base.k),
+        checks={"oriented_valid": verify_oriented_coloring(D, final), check: final.k < limit},
+        stats=stats,
     )
-    return v1, v2, restricted
 
 
 def oriented_color_genus(
@@ -189,32 +194,15 @@ def oriented_color_genus(
     the user orientation; finally V1 is recolored with unique colors.  When
     n <= 6g, V2 is empty and every vertex gets a unique color 1..n.
     """
-    G = D.underlying()
-    ordering, heawood = _genus_ordering(G, genus)
-    v1, v2, restricted = _split_after_6g(D, ordering, genus)
-    aux = orient_by_ordering(restricted.underlying(), ordering)
-    proper = greedy_color(G, ordering)
-    _check_class_caps(aux, v2, proper, 7, 6, genus)
-    inj, phase_colors = color_greedy_classes(
-        aux, v2, proper,
-        lambda cls, X: _color_genus_class(aux, X, genus, 6, derive_seed(rng_seed, cls))[0],
-    )
-
-    base = oriented_from_injective(restricted, inj)
-    final = add_unique_colors(D, v1, base)
-    report = PipelineReport(
-        colors_used=final.k,
-        v1_size=len(v1),
-        v2_size=len(v2),
-        phase_colors=dict(phase_colors, injective_total=inj.k, base_oriented=base.k),
-        checks={
-            "oriented_valid": verify_oriented_coloring(D, final),
-            "count_within_6g_plus_4_pow_k": final.k <= 6 * genus + 4**inj.k,
-        },
-        stats={"seed": rng_seed, "degeneracy": ordering.d, "heawood_bound": heawood,
-               "injective_colors": inj.k},
-    )
-    return final, report
+    G, ordering, stats, v1, v2, stripped = _strip_prefix(D, genus, rng_seed)
+    aux = orient_by_ordering(stripped.underlying(), ordering)
+    inj, phase_colors, _ = _color_classes(aux, v2, greedy_color(G, ordering), genus, rng_seed,
+                                          7, r=6)
+    base = oriented_from_injective(stripped, inj)
+    # At most 6g + 4^k colors, k being the injective count.
+    return _finish_oriented(D, v1, v2, base, dict(phase_colors, injective_total=inj.k),
+                            dict(stats, injective_colors=inj.k),
+                            "count_within_6g_plus_4_pow_k", 6 * genus + 4**inj.k + 1)
 
 
 def oriented_color_genus_via_2dipath(
@@ -233,22 +221,18 @@ def oriented_color_genus_via_2dipath(
     BudgetExceededError beyond; the pipeline then re-raises that refusal
     unless allow_uncertified_full asks for an uncertified sampled target.
     """
-    G = D.underlying()
-    ordering, heawood = _genus_ordering(G, genus)
-    v1, v2, restricted = _split_after_6g(D, ordering, genus)
-
+    _, _, stats, v1, v2, stripped = _strip_prefix(D, genus, rng_seed)
     phase_colors: dict[str, int] = {}
-    stats: dict[str, object] = {"seed": rng_seed, "degeneracy": ordering.d,
-                                "heawood_bound": heawood, "certified_target": True}
+    stats["certified_target"] = True
     k = 5
-    if restricted.m == 0:
+    if stripped.m == 0:
         base = VertexColoring({v: 1 for v in range(D.n)})
         stats["route"] = "edgeless"
     else:
-        psi = greedy_2dipath(restricted)
+        psi = greedy_2dipath(stripped)
         k = max(5, psi.k)
         stats["two_dipath_colors"] = psi.k
-        inner_ordering = degeneracy_order(restricted.underlying())
+        inner_ordering = degeneracy_order(stripped.underlying())
         order_needed = max(2, inner_ordering.d)
         stats["full_order"] = order_needed
         try:
@@ -263,23 +247,10 @@ def oriented_color_genus_via_2dipath(
             target = sample_full_orientation(k, order_needed, derive_seed(rng_seed, 1))
             stats["certified_target"] = False
             stats["route"] = "uncertified_full_graph"
-        mapping = homomorphism_to_full(restricted, inner_ordering, psi, target)
+        mapping = homomorphism_to_full(stripped, inner_ordering, psi, target)
         base = coloring_from_homomorphism(mapping)
         phase_colors["target_parts"] = target.k
         phase_colors["target_part_size"] = target.N
-    phase_colors["base_oriented"] = base.k
-
-    final = add_unique_colors(D, v1, base)
-    bound = ORIENTED_BOUND_CONSTANT * (k * math.log(k) + genus + 1)
-    report = PipelineReport(
-        colors_used=final.k,
-        v1_size=len(v1),
-        v2_size=len(v2),
-        phase_colors=phase_colors,
-        checks={
-            "oriented_valid": verify_oriented_coloring(D, final),
-            "count_within_C_k_log_k_plus_g": final.k < bound,
-        },
-        stats=dict(stats, bound_value=bound),
-    )
-    return final, report
+    stats["bound_value"] = ORIENTED_BOUND_CONSTANT * (k * math.log(k) + genus + 1)
+    return _finish_oriented(D, v1, v2, base, phase_colors, stats,
+                            "count_within_C_k_log_k_plus_g", stats["bound_value"])
