@@ -50,11 +50,18 @@ EXIT_INVALID = 2
 GEN_PAIR_BUDGET = 3 * 10**6
 
 
+class _HelpRequested(Exception):
+    """Carries the usage text that --help asks for out of the parser."""
+
+
 class _CliParser(argparse.ArgumentParser):
-    # argparse exits with status 2 on usage errors; route those to our
-    # input-error code instead.
+    # argparse exits with status 2 on usage errors, and prints help and exits
+    # 0 on --help; route both back to run_command instead.
     def error(self, message):  # noqa: D102
         raise ParseError(message)
+
+    def print_help(self, file=None):  # noqa: D102
+        raise _HelpRequested(self.format_help())
 
 
 def _subcommand(sub, name: str, run: Callable, *, seed: bool = False) -> _CliParser:
@@ -282,6 +289,8 @@ def run_command(
         args = _build_parser().parse_args(list(argv))
         fmt = args.format
         result = args.run(args, read_stdin)
+    except _HelpRequested as usage:
+        return EXIT_OK, str(usage)
     # ValueError covers ParseError, InvalidColoringError and the genus
     # refusals; InjcolorError covers budgets and failed constructions.
     except (InjcolorError, ValueError, OSError) as exc:

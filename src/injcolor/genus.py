@@ -75,9 +75,12 @@ def heawood_degeneracy_bound(genus: int) -> int:
 
 def _genus_ordering(G: UndirectedGraph, genus: int, rng_seed: int) -> tuple[VertexOrdering, dict]:
     """The degeneracy order of G and the stats every report opens with, after
-    refusing a genus below 2 or a degeneracy above the Heawood bound."""
+    refusing a genus below 2 or above 10^300 (the reports' bounds are floats)
+    or a degeneracy above the Heawood bound."""
     if genus < 2:
         raise GenusTooSmallError("the pipelines require an asserted genus of at least 2")
+    if genus > 10**300:
+        raise ValueError("the pipelines take an asserted genus of at most 10^300")
     ordering = degeneracy_order(G)
     bound = heawood_degeneracy_bound(genus)
     if ordering.d > bound:

@@ -166,6 +166,13 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
     """
     if k < 5 or d < 2:
         raise ValueError("requires k >= 5 and d >= 2")
+    # A part holds more than 8^d = 2^(3d) vertices (ln k > 1), so an order whose
+    # 2^(3d) alone passes the budget is refused before the float 8^d * ln k.
+    if 3 * d >= FULL_VERTEX_BUDGET.bit_length():
+        raise BudgetExceededError(
+            f"a full target of order {d} exceeds the budget {FULL_VERTEX_BUDGET} vertices "
+            "in one part alone."
+        )
     part_size = full_part_size(k, d)
     n = k * part_size
     if n > FULL_VERTEX_BUDGET:
@@ -273,14 +280,14 @@ def homomorphism_to_full(
             f"ordering witnesses degeneracy {ordering.d} above the target's order {H.d}"
         )
     pos = ordering.positions()
-    und = D.underlying()
     parts = H.parts
     mapping: dict[int, int] = {}
     for v in ordering.order:
-        earlier = sorted(u for u in und.neighbors(v) if pos[u] < pos[v])
+        # (u, +1) for each earlier out-neighbor u, (u, -1) for each earlier in-neighbor.
+        earlier = sorted([(u, 1) for u in D.out_neighbors(v) if pos[u] < pos[v]]
+                         + [(u, -1) for u in D.in_neighbors(v) if pos[u] < pos[v]])
         constraints: dict[int, int] = {}
-        for u in earlier:
-            sign = 1 if D.has_arc(v, u) else -1
+        for u, sign in earlier:
             image = mapping[u]
             if constraints.setdefault(image, sign) != sign:
                 # Opposite signs toward one image need a directed 2-path

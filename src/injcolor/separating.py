@@ -11,6 +11,7 @@ from .errors import BudgetExceededError, InjcolorError
 
 MAX_BUILD_ATTEMPTS = 64
 PAIR_BUDGET = 10**6  # the most (element, (r-1)-subset) pairs one verification may check
+FLIP_BUDGET = 10**6  # the most coin flips, k per subset, one draw may make
 
 
 class FamilyConstructionError(RuntimeError, InjcolorError):
@@ -38,8 +39,9 @@ def build_separating_family(k: int, r: int, rng_seed: int = 0) -> SeparatingFami
     A universe smaller than r is padded up to r elements; a family over a
     superset universe separates the original.  Deterministic for a given
     seed; retries consume the same seeded stream.  When the k * C(k-1, r-1)
-    pairs that verify_separating_family enumerates exceed PAIR_BUDGET, raises
-    BudgetExceededError before anything is drawn.
+    pairs that verify_separating_family enumerates exceed PAIR_BUDGET, or the
+    k * family_size_bound(k, r) coin flips of one draw exceed FLIP_BUDGET,
+    raises BudgetExceededError before anything is drawn.
     """
     if r < 2:
         raise ValueError("separation order r must be at least 2")
@@ -51,6 +53,11 @@ def build_separating_family(k: int, r: int, rng_seed: int = 0) -> SeparatingFami
             f"beyond the budget {PAIR_BUDGET}"
         )
     size = family_size_bound(k, r)
+    if k * size > FLIP_BUDGET:
+        raise BudgetExceededError(
+            f"drawing a family for (k={k}, r={r}) takes {k * size} coin flips, "
+            f"beyond the budget {FLIP_BUDGET}"
+        )
     rng = random.Random(rng_seed)
     prob = 1.0 / r
     for _ in range(MAX_BUILD_ATTEMPTS):

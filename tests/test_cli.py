@@ -412,6 +412,8 @@ def test_full_graph_over_budget_is_refused_at_once():
 @pytest.mark.parametrize("argv, message", [
     (["family", "--k", "30", "--r", "8"], "46823400 pairs, beyond the budget 1000000"),
     (["full-graph", "--k", "100", "--d", "2"], "29500 vertices exceeds the budget 4096"),
+    (["full-graph", "--k", "5", "--d", "400"], "order 400 exceeds the budget 4096"),
+    (["family", "--k", "100", "--r", "100"], "12518200 coin flips, beyond the budget 1000000"),
 ])
 def test_oversized_builds_are_refused_at_once(argv, message):
     start = time.perf_counter()
@@ -445,6 +447,29 @@ def test_gen_size_limits_are_inclusive(monkeypatch):
     base = "p edge 15 0\n"
     assert parse_graph(run(["gen", "--family", "k5-padding", "--copies", "1"], base)[1]).n == 20
     assert run(["gen", "--family", "k5-padding", "--copies", "2"], base)[0] == 1
+
+
+@pytest.mark.parametrize("command", ["inj-genus", "oriented-genus", "oriented-2dipath"])
+def test_genus_commands_refuse_a_genus_beyond_float_range(command):
+    # The reports' bounds are floats; a 401-digit g would overflow them.
+    G = cycle(50)
+    graph = emit_graph(G if command == "inj-genus" else random_orientation(G, 1))
+    code, out = run([command, "--g", "1" * 401], graph)
+    assert code == 1
+    assert json.loads(out) == {"error": "the pipelines take an asserted genus of at most 10^300"}
+
+
+def test_help_is_returned_not_printed(capsys, monkeypatch):
+    for argv, usage in ((["--help"], "usage: injcolor [-h]"),
+                        (["verify", "--help"], "usage: injcolor verify [-h]")):
+        code, out = run(argv)
+        assert code == 0 and out.startswith(usage)
+    assert capsys.readouterr().out == ""
+    # The console script still prints the usage and exits 0.
+    monkeypatch.setattr("sys.argv", ["injcolor", "--help"])
+    with pytest.raises(SystemExit) as stop:
+        cli.main()
+    assert stop.value.code == 0 and capsys.readouterr().out.startswith("usage: injcolor")
 
 
 def test_text_format():

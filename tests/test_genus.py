@@ -71,6 +71,19 @@ def test_pipelines_refuse_a_vertex_beyond_the_class_caps():
         oriented_color_genus(random_orientation(random_degenerate_graph(60, 7, 1), 1), 4)
 
 
+def test_pipelines_take_a_genus_up_to_10_to_the_300():
+    # Up to 10^300 every float bound in the reports stays finite.
+    D = random_orientation(random_degenerate_graph(40, 2, 1), 1)
+    pipelines = ((injective_color_genus, D.underlying(), "injective_valid"),
+                 (oriented_color_genus, D, "oriented_valid"),
+                 (oriented_color_genus_via_2dipath, D, "oriented_valid"))
+    for pipeline, graph, check in pipelines:
+        _, report = pipeline(graph, 10**300, 1)
+        assert report.checks[check] and report.v2_size == 0
+        with pytest.raises(ValueError, match="at most 10"):
+            pipeline(graph, 10**300 + 1, 1)
+
+
 def test_oriented_genus_k8_small_branch():
     K8 = complete_graph(8)
     D = random_orientation(K8, 3)

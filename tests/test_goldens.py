@@ -173,6 +173,11 @@ def _cases(tmp: Path):
             # take the uncertified route.
             flags = ["--unverified-full"] if d == 3 else []
             yield f"oriented-2dipath-g{g}-{d}deg", ["oriented-2dipath", *seed, *flags], arcs
+    # A 401-digit genus or a huge order is refused before a float overflows.
+    yield "full-graph-order-400", ["full-graph", "--k", "5", "--d", "400"], ""
+    yield "inj-genus-huge-g", ["inj-genus", "--g", "1" * 401], emit_graph(cycle(50))
+    yield "oriented-2dipath-huge-g", ["oriented-2dipath", "--g", "1" * 401], emit_graph(
+        random_orientation(cycle(50), 1))
 
 
 def _digests(tmp: Path) -> dict[str, str]:

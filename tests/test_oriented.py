@@ -121,6 +121,17 @@ def test_build_full_graph_refuses_too_many_vertices(monkeypatch):
         build_full_graph(5, 2, 0)
 
 
+def test_build_full_graph_refuses_a_high_order_before_forming_a_float():
+    # A part holds more than 8^d vertices, so d = 5 (8^5 = 32768) is refused on
+    # its order alone, and d = 400 before 8^400 * ln 5 could overflow a float.
+    for d in (5, 400):
+        with pytest.raises(BudgetExceededError, match=f"order {d} exceeds the budget 4096"):
+            build_full_graph(5, d)
+    # 8^4 = 4096 is within the budget alone; the exact size is refused next.
+    with pytest.raises(BudgetExceededError, match="32965 vertices exceeds the budget 4096"):
+        build_full_graph(5, 4)
+
+
 def test_full_graph_structure():
     H = build_full_graph(5, 2, 0)
     assert H.N == full_part_size(5, 2)
@@ -246,6 +257,20 @@ def test_homomorphism_random_2degenerate():
         vc = coloring_from_homomorphism(h)
         assert verify_oriented_coloring(D, vc)
         assert vc.k <= k * H.N
+
+
+def test_homomorphism_reads_arc_directions_without_the_underlying_graph(monkeypatch):
+    G = random_degenerate_graph(30, 2, 3)
+    D = random_orientation(G, 4)
+    psi = greedy_2dipath(D)
+    H = build_full_graph(max(5, psi.k), 2, 1)
+
+    def unused(self):
+        raise AssertionError("homomorphism_to_full built the underlying graph")
+
+    monkeypatch.setattr(OrientedGraph, "underlying", unused)
+    h = homomorphism_to_full(D, degeneracy_order(G), psi, H)
+    assert verify_homomorphism(D, H, h)
 
 
 def test_homomorphism_rejects_bad_inputs():

@@ -77,6 +77,21 @@ def test_refuses_families_over_the_pair_budget(monkeypatch):
         build_separating_family(12, 3, 0)
 
 
+def test_refuses_draws_over_the_flip_budget(monkeypatch):
+    # the budget bounds k * family_size_bound(k, r) inclusively: (12, 3) flips 12 * 61
+    monkeypatch.setattr(separating, "FLIP_BUDGET", 732)
+    assert verify_separating_family(build_separating_family(12, 3, 0))
+    monkeypatch.setattr(separating, "FLIP_BUDGET", 731)
+    with pytest.raises(BudgetExceededError, match="732 coin flips"):
+        build_separating_family(12, 3, 0)
+    monkeypatch.undo()
+    # k = r = 1000 checks only 1000 pairs, but one draw of ceil(e r^2 ln k)
+    # subsets flips 1000 coins for each of 18,777,226 of them: refused at once.
+    with pytest.raises(BudgetExceededError,
+                       match="18777226000 coin flips, beyond the budget 1000000"):
+        build_separating_family(1000, 1000, 0)
+
+
 def test_rejects_tiny_r():
     with pytest.raises(ValueError):
         build_separating_family(5, 1, 0)
