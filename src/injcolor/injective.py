@@ -55,22 +55,23 @@ def _out_arcs_of_independent(D: OrientedGraph, X: Iterable[int]) -> tuple[list[i
     return members, D.arcs_out_of(members)
 
 
-def _sole_hits(D: OrientedGraph, members: list[int], selected: set[int]) -> dict[int, int]:
-    """Map each member whose out-neighborhood meets `selected` in exactly one
-    vertex to that vertex."""
-    chosen: dict[int, int] = {}
-    for x in members:
-        hit = None
-        count = 0
-        for a in D.out_neighbors(x):
-            if a in selected:
-                count += 1
-                if count > 1:
-                    break
-                hit = a
-        if count == 1:
-            chosen[x] = hit
-    return chosen
+def _last_sole_rounds(D: OrientedGraph, tails: list[int], mask: dict[int, int]) -> dict[Edge, int]:
+    """Map each arc (x, a) leaving tails to the last round r in which a was
+    x's only selected out-neighbor, if any; bit r - 1 of mask[a] marks a as
+    selected in round r.  Per tail, `one` and `two` hold the rounds selecting
+    at least one and at least two heads, so r is the top bit of mask[a] & one & ~two."""
+    round_of: dict[Edge, int] = {}
+    for x in tails:
+        heads = D.out_neighbors(x)
+        one = two = 0
+        for a in heads:
+            two |= one & mask[a]
+            one |= mask[a]
+        sole = one & ~two
+        for a in heads:
+            if r := (mask[a] & sole).bit_length():
+                round_of[(x, a)] = r
+    return round_of
 
 
 def _shade_rounds(D: OrientedGraph, round_of: dict[Edge, int]) -> EdgeColoring:
@@ -109,14 +110,13 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     """Color all arcs leaving the independent set X into induced star forests.
 
     Rounds c = 1, 2, ... each sample a subset S_c of the other vertices with
-    per-vertex probability 1/d, where d is the largest out-degree inside X.
-    A vertex x in X whose out-neighborhood meets S_c in exactly one vertex a
-    colors the arc (x, a) with c, overwriting any earlier color.  After
-    ceil(4*e*d*ln(max_degree)) rounds, extra rounds run only while arcs
-    remain uncolored, up to 64 times the nominal count.  A final pass
-    (_shade_rounds) splits each round color into shades via a proper
-    coloring of an auxiliary graph on the heads of the arcs that kept that
-    round, which is what forces every class to be an induced star forest.
+    per-vertex probability 1/d, d the largest out-degree inside X, and the
+    arc (x, a) keeps the last c in which a was x's only out-neighbor in S_c
+    (_last_sole_rounds).  After ceil(4*e*d*ln(max_degree)) rounds, extra
+    rounds run one at a time while arcs remain uncolored, up to
+    ROUND_LIMIT_FACTOR times that count.  _shade_rounds then splits each
+    round into shades via a proper coloring of an auxiliary graph on its
+    heads, which makes every class an induced star forest.
     """
     members, targets = _out_arcs_of_independent(D, X)
     if not targets:
@@ -130,18 +130,18 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     prob = 1.0 / d
     xset = set(members)
     others = [v for v in range(D.n) if v not in xset]
-    round_of: dict[Edge, int] = {}
-    rounds = 0
-    while rounds < nominal or (len(round_of) < len(targets) and rounds < limit):
-        rounds += 1
-        sample = {a for a in others if rng.random() < prob}
-        for arc in _sole_hits(D, members, sample).items():
-            round_of[arc] = rounds
-    if len(round_of) < len(targets):
-        raise RoundLimitExceededError(
-            f"{len(targets) - len(round_of)} arcs uncolored after {rounds} rounds "
-            f"(seed {rng_seed})"
-        )
+    mask = dict.fromkeys(others, 0)
+    for rounds in range(1, limit + 1):
+        for a in others:
+            if rng.random() < prob:
+                mask[a] |= 1 << (rounds - 1)
+        if rounds >= nominal:
+            round_of = _last_sole_rounds(D, members, mask)
+            if len(round_of) == len(targets):
+                break
+    else:
+        raise RoundLimitExceededError(f"{len(targets) - len(round_of)} arcs uncolored after "
+                                      f"{limit} rounds (seed {rng_seed})")
     return _shade_rounds(D, round_of)
 
 
@@ -156,11 +156,10 @@ def color_arcs_deterministic(
     hcol must give distinct colors to the out-neighborhood of every x in X
     (a proper coloring of the graph joining co-out-neighbors), with colors
     inside the family's universe, and the family's separation order must be
-    at least the largest out-degree in X.  Each family member P_i is one
-    round: it selects the x with exactly one out-neighbor colored inside
-    P_i and colors that arc with i, later members overwriting earlier ones.
-    The same final pass as color_arcs_randomized (_shade_rounds) then splits
-    each round into shades over the heads of the arcs that kept it.
+    at least the largest out-degree in X.  Family member P_i is round i and
+    selects the heads colored inside it, so head a's round mask is that of
+    its color hcol[a]; the arcs then get their last sole rounds and shades
+    as in color_arcs_randomized.
     """
     members, arcs = _out_arcs_of_independent(D, X)
     if not arcs:
@@ -187,11 +186,11 @@ def color_arcs_deterministic(
                 "on the co-out-neighborhood graph"
             )
 
-    heads = {a for _, a in arcs}
-    round_of: dict[Edge, int] = {}
-    for i, subset in enumerate(family.sets, start=1):
-        for arc in _sole_hits(D, members, {a for a in heads if hcol[a] in subset}).items():
-            round_of[arc] = i
+    member_bits = [0] * (family.k + 1)
+    for i, subset in enumerate(family.sets):
+        for c in subset:
+            member_bits[c] |= 1 << i
+    round_of = _last_sole_rounds(D, members, {a: member_bits[hcol[a]] for _, a in arcs})
     if len(round_of) != len(arcs):
         missing = sorted(set(arcs) - set(round_of))
         raise FamilyTooWeakError(f"family left {len(missing)} arcs uncolored, e.g. {missing[:3]}")

@@ -147,10 +147,18 @@ class SampledFullOrientation(FullTarget):
 
 def sample_full_orientation(k: int, d: int, rng_seed: int = 0) -> SampledFullOrientation:
     """Uncertified stand-in for build_full_graph at budgets where exhaustive
-    verification is infeasible."""
+    verification is infeasible.  pair_bit hashes vertex ids as 64-bit words,
+    so a target whose k * N ids do not all lie below 2^64 raises
+    BudgetExceededError, an order with 8^d >= 2^64 before 8^d * ln k."""
     if k < 5 or d < 2:
         raise ValueError("requires k >= 5 and d >= 2")
-    return SampledFullOrientation(k, full_part_size(k, d), d, rng_seed)
+    part_size = full_part_size(k, d) if 3 * d < 64 else 1 << 64  # else N > 8^d >= 2^64
+    if k * part_size > 1 << 64:
+        raise BudgetExceededError(
+            f"a sampled full target of order {d} on {k} parts has vertex ids beyond 2^64, "
+            "the width of the hash that orients its arcs."
+        )
+    return SampledFullOrientation(k, part_size, d, rng_seed)
 
 
 def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:

@@ -38,25 +38,29 @@ def build_separating_family(k: int, r: int, rng_seed: int = 0) -> SeparatingFami
 
     A universe smaller than r is padded up to r elements; a family over a
     superset universe separates the original.  Deterministic for a given
-    seed; retries consume the same seeded stream.  When the k * C(k-1, r-1)
-    pairs that verify_separating_family enumerates exceed PAIR_BUDGET, or the
-    k * family_size_bound(k, r) coin flips of one draw exceed FLIP_BUDGET,
-    raises BudgetExceededError before anything is drawn.
+    seed; retries consume the same seeded stream.  When the k *
+    family_size_bound(k, r) coin flips of one draw exceed FLIP_BUDGET, or the
+    k * C(k-1, r-1) pairs that verify_separating_family enumerates exceed
+    PAIR_BUDGET, raises BudgetExceededError before anything is drawn (the
+    flips first: unlike the pairs, they need no binomial).
     """
     if r < 2:
         raise ValueError("separation order r must be at least 2")
     k = max(k, r)
+    try:
+        size = family_size_bound(k, r)
+    except OverflowError:  # r * r overflows a float; k * r * r bounds the flips below
+        size = r * r
+    if k * size > FLIP_BUDGET:
+        raise BudgetExceededError(
+            f"drawing a family for (k={k}, r={r}) takes {k * size} coin flips, "
+            f"beyond the budget {FLIP_BUDGET}"
+        )
     pairs = k * math.comb(k - 1, r - 1)
     if pairs > PAIR_BUDGET:
         raise BudgetExceededError(
             f"verifying a family for (k={k}, r={r}) checks {pairs} pairs, "
             f"beyond the budget {PAIR_BUDGET}"
-        )
-    size = family_size_bound(k, r)
-    if k * size > FLIP_BUDGET:
-        raise BudgetExceededError(
-            f"drawing a family for (k={k}, r={r}) takes {k * size} coin flips, "
-            f"beyond the budget {FLIP_BUDGET}"
         )
     rng = random.Random(rng_seed)
     prob = 1.0 / r

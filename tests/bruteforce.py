@@ -5,6 +5,8 @@ so that package results can be cross-checked against an independent route on
 tiny instances.  Graphs are passed as (n, edge list) or (n, arc list).
 """
 
+import math
+import random
 from itertools import combinations, product
 
 
@@ -152,3 +154,56 @@ def exact_degeneracy(n, edges):
             mindeg = min(len(adj[v] & s) for v in subset)
             best = max(best, mindeg)
     return best
+
+
+def sole_hits(out, tails, selected):
+    """Map each tail whose out-neighbors out[tail] include exactly one
+    selected vertex to that vertex."""
+    hits = {x: [a for a in out[x] if a in selected] for x in tails}
+    return {x: h[0] for x, h in hits.items() if len(h) == 1}
+
+
+def last_sole_rounds(arcs, tails, selections):
+    """Round by round, each tail whose out-neighborhood meets the selected set
+    selections[r - 1] in exactly one vertex a maps (tail, a) to r, later
+    rounds overwriting earlier ones."""
+    out = {x: [a for t, a in arcs if t == x] for x in tails}
+    round_of = {}
+    for r, selected in enumerate(selections, start=1):
+        for x, a in sole_hits(out, tails, selected).items():
+            round_of[(x, a)] = r
+    return round_of
+
+
+def randomized_rounds(n, arcs, X, seed, round_limit_factor=64):
+    """The rounds of the randomized arc colorer, drawn one round at a time.
+
+    Each round samples every vertex outside X with probability 1/d, d the
+    largest out-degree in X, and overwrites the rounds of its sole hits as in
+    last_sole_rounds.  Rounds continue past the nominal
+    ceil(4 e d ln(max degree)) while some arc leaving X has no round, up to
+    round_limit_factor times the nominal count.  Returns the map of arcs to
+    rounds and the number of rounds drawn.
+    """
+    xset = set(X)
+    tails = sorted(xset)
+    out = {x: [] for x in tails}
+    degree = [0] * n
+    for t, a in arcs:
+        degree[t] += 1
+        degree[a] += 1
+        if t in xset:
+            out[t].append(a)
+    d = max(len(out[x]) for x in tails)
+    max_degree = max(degree)
+    nominal = max(1, math.ceil(4 * math.e * d * math.log(max_degree))) if max_degree > 1 else 1
+    leaving = sum(len(heads) for heads in out.values())
+    rng = random.Random(seed)
+    round_of = {}
+    rounds = 0
+    while rounds < nominal or (len(round_of) < leaving and rounds < round_limit_factor * nominal):
+        rounds += 1
+        selected = {v for v in range(n) if v not in xset and rng.random() < 1 / d}
+        for x, a in sole_hits(out, tails, selected).items():
+            round_of[(x, a)] = rounds
+    return round_of, rounds

@@ -414,6 +414,9 @@ def test_full_graph_over_budget_is_refused_at_once():
     (["full-graph", "--k", "100", "--d", "2"], "29500 vertices exceeds the budget 4096"),
     (["full-graph", "--k", "5", "--d", "400"], "order 400 exceeds the budget 4096"),
     (["family", "--k", "100", "--r", "100"], "12518200 coin flips, beyond the budget 1000000"),
+    # the flips are refused before C(k-1, r-1) is computed or printed
+    (["family", "--k", "100000", "--r", "50000"], "coin flips, beyond the budget 1000000"),
+    (["family", "--k", "1000000", "--r", "500000"], "coin flips, beyond the budget 1000000"),
 ])
 def test_oversized_builds_are_refused_at_once(argv, message):
     start = time.perf_counter()

@@ -11,6 +11,7 @@ from injcolor import (
     InvalidColoringError,
     OracleBudget,
     OrientedGraph,
+    RoundLimitExceededError,
     UndirectedGraph,
     VertexColoring,
     build_separating_family,
@@ -33,8 +34,8 @@ from injcolor import (
     subdivide,
     verify_injective,
 )
-from injcolor import oracles
-from .bruteforce import injective_assignment_valid
+from injcolor import injective, oracles
+from .bruteforce import injective_assignment_valid, last_sole_rounds, randomized_rounds
 
 
 def _classes_are_star_forests(G, colors):
@@ -84,6 +85,57 @@ def test_randomized_on_larger_class():
     part = color_arcs_randomized(D, X, 5)
     assert part.domain() == {tuple(sorted(a)) for a in D.arcs_out_of(X)}
     assert _classes_are_star_forests(und, part.colors)
+
+
+def _cherries(m):
+    """m disjoint cherries x -> a, x -> b, with x = 3j, a = 3j + 1, b = 3j + 2.
+
+    Each round selects a given head as its tail's only one with probability
+    1/4, so the nominal ceil(4e * 2 * ln 2) = 16 rounds leave about
+    2m * (3/4)^16 arcs without a round."""
+    arcs = [(3 * j, 3 * j + s) for j in range(m) for s in (1, 2)]
+    return OrientedGraph(3 * m, arcs), arcs, [3 * j for j in range(m)]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_randomized_extra_rounds_match_the_round_by_round_colorer(seed):
+    D, arcs, X = _cherries(3000)
+    round_of, rounds = randomized_rounds(D.n, arcs, X, seed)
+    assert rounds > 16 and len(round_of) == len(arcs)  # extra rounds colored the rest
+    assert color_arcs_randomized(D, X, seed) == injective._shade_rounds(D, round_of)
+
+
+def test_randomized_round_limit_names_the_uncolored_arcs(monkeypatch):
+    D, arcs, X = _cherries(3000)
+    round_of, rounds = randomized_rounds(D.n, arcs, X, 0, round_limit_factor=1)
+    assert rounds == 16 and len(round_of) < len(arcs)
+    monkeypatch.setattr(injective, "ROUND_LIMIT_FACTOR", 1)
+    with pytest.raises(RoundLimitExceededError,
+                       match=f"^{len(arcs) - len(round_of)} arcs uncolored after 16 rounds "):
+        color_arcs_randomized(D, X, 0)
+
+
+@st.composite
+def sole_round_cases(draw):
+    """A small oriented graph with an independent set X, and per-round
+    selections of vertices outside X."""
+    n = draw(st.integers(min_value=1, max_value=9))
+    X = draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=n - 1))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if u not in X or v not in X]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
+    outside = [v for v in range(n) if v not in X]
+    selections = draw(st.lists(st.sets(st.sampled_from(outside)), max_size=8))
+    return OrientedGraph(n, arcs), sorted(X), selections
+
+
+@settings(max_examples=300, deadline=None)
+@given(sole_round_cases())
+def test_last_sole_rounds_matches_the_round_by_round_rule(case):
+    D, X, selections = case
+    mask = {v: sum(1 << i for i, s in enumerate(selections) if v in s)
+            for v in range(D.n) if v not in X}
+    assert injective._last_sole_rounds(D, X, mask) == last_sole_rounds(D.arcs(), X, selections)
 
 
 def test_deterministic_two_arc_example():

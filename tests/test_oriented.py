@@ -302,6 +302,16 @@ def test_sampled_full_orientation_is_digon_free_and_usable():
             assert S.has_arc(u, v) == S.has_arc(u, v)  # stable
 
 
+def test_sampled_full_orientation_keeps_its_ids_below_2_to_the_64():
+    # pair_bit hashes ids as 64-bit words: d = 400 is refused on 8^d alone,
+    # before 8^400 * ln 5 overflows a float, and d = 21 on its 5 * N ids.
+    for d in (400, 21):
+        with pytest.raises(BudgetExceededError, match=f"order {d} on 5 parts has vertex ids beyond"):
+            sample_full_orientation(5, d)
+    assert sample_full_orientation(5, 20).n < 1 << 64
+    assert sample_full_orientation(5, 3).N == 825  # the order the uncertified goldens use
+
+
 def test_verify_homomorphism_examples():
     D = OrientedGraph(3, [(0, 1), (1, 2)])
     assert verify_homomorphism(D, D, {0: 0, 1: 1, 2: 2})

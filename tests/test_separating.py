@@ -90,6 +90,9 @@ def test_refuses_draws_over_the_flip_budget(monkeypatch):
     with pytest.raises(BudgetExceededError,
                        match="18777226000 coin flips, beyond the budget 1000000"):
         build_separating_family(1000, 1000, 0)
+    # e * r^2 overflows a float at r = 10^200; k * r^2 flips still refuse it
+    with pytest.raises(BudgetExceededError, match="coin flips, beyond the budget 1000000"):
+        build_separating_family(2, 10**200, 0)
 
 
 def test_rejects_tiny_r():
