@@ -4,15 +4,19 @@ These are ground truth for desk-scale instances.  Every solver honors an
 OracleBudget and raises BudgetExceededError when a size limit or the wall
 clock is hit.
 
-Each solver counts k up from a lower bound until a backtracking search
-finds a k-coloring: from the size of a greedy clique in each component for
-the chromatic search, from the chromatic number of the underlying graph for
-the oriented one.  Both searches keep their own trail instead of recursing.
+Each solver counts k up from a lower bound until one DSATUR backtracking
+search, _k_colorable, finds a k-coloring.  The chromatic, injective (on the
+conflict graph of the edges) and 2-dipath searches start from the size of a
+greedy clique in each component.  The oriented search runs on the 2-dipath
+graph as a whole, with an ordered color-pair test on each color, and starts
+from the 2-dipath number.  The search keeps its own trail instead of
+recursing, and picks each vertex from saturation buckets, not by a scan.
 """
 
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import BudgetExceededError
@@ -37,13 +41,17 @@ DEFAULT_BUDGET = OracleBudget()
 
 
 class _Deadline:
+    """nodes counts the calls to check: one per search node, plus one per
+    edge while the injective conflict graph is built.  The clock is read at
+    every 512th call."""
+
     def __init__(self, timeout: float) -> None:
         self.at = time.monotonic() + timeout
-        self._ticks = 0
+        self.nodes = 0
 
     def check(self) -> None:
-        self._ticks += 1
-        if self._ticks & 0x1FF == 0 and time.monotonic() > self.at:
+        self.nodes += 1
+        if self.nodes & 0x1FF == 0 and time.monotonic() > self.at:
             raise BudgetExceededError("oracle timeout")
 
 
@@ -77,52 +85,87 @@ def _greedy_clique(comp: list[int], adj: list[set[int]]) -> list[int]:
 
 
 def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int],
-                 deadline: _Deadline) -> dict[int, int] | None:
-    """DSATUR backtracking with the clique precolored for symmetry breaking.
+                 deadline: _Deadline, arcs: list[list[tuple[int, bool]]] | None = None
+                 ) -> dict[int, int] | None:
+    """DSATUR backtracking (Brelaz, CACM 1979) with the clique precolored for
+    symmetry breaking.
 
+    Uncolored vertices (color 0) sit in buckets by saturation, the number of
+    distinct colors among their colored neighbors; count[w][c] is how many
+    neighbors of w have color c.  The next vertex is the one of highest
+    saturation, then highest degree, then lowest id; colors are tried in
+    ascending order.
     The trail holds (vertex, color, max_used before it) for each placed
-    vertex; colors are tried in ascending order.
+    vertex.  With arcs, where arcs[v] lists (neighbor, whether the arc leaves
+    v), a color is refused when one of v's arcs would carry the reverse of an
+    ordered color pair already on an arc: the oriented search.
     """
-    colors: dict[int, int] = {}
-    sat: dict[int, dict[int, int]] = {v: {} for v in comp}
+    # Local ids in selection-rank order, so that every table is a list and
+    # the highest id in a bucket is the next vertex.
+    order = sorted(comp, key=lambda u: (len(adj[u]), -u))
+    local = {u: i for i, u in enumerate(order)}
+    nbrs = [[local[w] for w in adj[u]] for u in order]
+    colors = [0] * len(order)
+    count = [[0] * (k + 1) for _ in order]
+    sat = [0] * len(order)
+    buckets: list[set[int]] = [set(range(len(order)))] + [set() for _ in range(k)]
+    if arcs is not None:
+        arcs = [[(local[u], leaves) for u, leaves in arcs[v]] for v in order]
+    pair_count: Counter[tuple[int, int]] = Counter()
+
+    def arc_pairs(v: int, c: int) -> list[tuple[int, int]]:
+        return [(c, colors[u]) if leaves else (colors[u], c)
+                for u, leaves in arcs[v] if colors[u]]
+
+    def allowed(v: int, c: int) -> bool:
+        return not count[v][c] and (arcs is None
+                                    or not any(pair_count[b, a] for a, b in arc_pairs(v, c)))
 
     def place(v: int, c: int) -> None:
+        if arcs is not None:
+            pair_count.update(arc_pairs(v, c))
         colors[v] = c
-        for w in adj[v]:
-            if w not in colors:
-                sat[w][c] = sat[w].get(c, 0) + 1
+        buckets[sat[v]].remove(v)
+        for w in nbrs[v]:
+            if not colors[w]:
+                row = count[w]
+                row[c] += 1
+                if row[c] == 1:
+                    s = sat[w]
+                    buckets[s].remove(w)
+                    buckets[s + 1].add(w)
+                    sat[w] = s + 1
 
     def unplace(v: int, c: int) -> None:
-        del colors[v]
-        for w in adj[v]:
-            if w not in colors:
-                if sat[w][c] == 1:
-                    del sat[w][c]
-                else:
-                    sat[w][c] -= 1
+        colors[v] = 0
+        if arcs is not None:
+            pair_count.subtract(arc_pairs(v, c))
+        buckets[sat[v]].add(v)
+        for w in nbrs[v]:
+            if not colors[w]:
+                row = count[w]
+                row[c] -= 1
+                if not row[c]:
+                    s = sat[w]
+                    buckets[s].remove(w)
+                    buckets[s - 1].add(w)
+                    sat[w] = s - 1
 
-    for i, v in enumerate(clique):
-        place(v, i + 1)
+    for i, u in enumerate(clique):
+        place(local[u], i + 1)
     max_used = len(clique)
     trail: list[tuple[int, int, int]] = []
     while True:
         deadline.check()
-        v = -1
-        best_key = None
-        for u in comp:
-            if u in colors:
-                continue
-            key = (len(sat[u]), len(adj[u]), -u)
-            if best_key is None or key > best_key:
-                v = u
-                best_key = key
-        if v < 0:
-            return dict(colors)
+        top = next((b for b in reversed(buckets) if b), None)
+        if top is None:
+            return dict(zip(order, colors))
+        v = max(top)
         c = 0
-        # Take v's next free color above c, or undo the last placement and
+        # Take v's next allowed color above c, or undo the last placement and
         # resume that vertex above its old color.
         while not (c := next((d for d in range(c + 1, min(k, max_used + 1) + 1)
-                              if d not in sat[v]), 0)):
+                              if allowed(v, d)), 0)):
             if not trail:
                 return None
             v, c, max_used = trail.pop()
@@ -204,87 +247,41 @@ def exact_injective_coloring(G: UndirectedGraph, budget: OracleBudget = DEFAULT_
     return EdgeColoring({edges[i]: colors[i] for i in range(m)})
 
 
+def _two_dipath_adjacency(D: OrientedGraph, budget: OracleBudget) -> list[set[int]]:
+    if D.n > budget.max_vertices:
+        raise BudgetExceededError(f"{D.n} vertices exceed budget {budget.max_vertices}")
+    constraints = two_dipath_constraint_graph(D)
+    return [constraints.neighbors(v) for v in range(D.n)]
+
+
 def exact_2dipath_number(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
     """Minimum colors so that endpoints of every arc and every directed
     two-step path differ, for the given fixed orientation."""
-    if D.n > budget.max_vertices:
-        raise BudgetExceededError(f"{D.n} vertices exceed budget {budget.max_vertices}")
-    deadline = _Deadline(budget.timeout)
-    constraints = two_dipath_constraint_graph(D)
-    adj = [constraints.neighbors(v) for v in range(D.n)]
-    return len(set(_solve_chromatic(D.n, adj, deadline).values()))
-
-
-def _oriented_feasible(arcs_at: list[list[tuple[int, bool]]], order: list[int], k: int,
-                       deadline: _Deadline) -> dict[int, int] | None:
-    """Backtracking over the vertices in the fixed order.  arcs_at[v] lists
-    (neighbor, whether the arc leaves v).  The trail holds, for each placed
-    vertex, (its color, the ordered color pairs it added, max_used before
-    it)."""
-    color = [0] * len(arcs_at)
-    pair_count: dict[tuple[int, int], int] = {}
-
-    def next_color(v: int, c: int, limit: int) -> tuple[int, list[tuple[int, int]]] | None:
-        """v's first color above c, up to limit, that no colored neighbor
-        forbids, with the ordered color pairs it adds."""
-        for c in range(c + 1, limit + 1):
-            added: list[tuple[int, int]] = []
-            for u, leaves in arcs_at[v]:
-                cu = color[u]
-                if not cu:
-                    continue
-                pair, reverse = ((c, cu), (cu, c)) if leaves else ((cu, c), (c, cu))
-                if cu == c or pair_count.get(reverse, 0) or reverse in added:
-                    break
-                added.append(pair)
-            else:
-                return c, added
-        return None
-
-    trail: list[tuple[int, list[tuple[int, int]], int]] = []
-    max_used = 0
-    while True:
-        deadline.check()
-        if len(trail) == len(order):
-            return {v: color[v] for v in order}
-        v = order[len(trail)]
-        c = 0
-        # Take v's next feasible color above c, or undo the last placement
-        # and resume that vertex above its old color.
-        while (step := next_color(v, c, min(k, max_used + 1))) is None:
-            if not trail:
-                return None
-            c, added, max_used = trail.pop()
-            v = order[len(trail)]
-            color[v] = 0
-            for p in added:
-                pair_count[p] -= 1
-        c, added = step
-        for p in added:
-            pair_count[p] = pair_count.get(p, 0) + 1
-        color[v] = c
-        trail.append((c, added, max_used))
-        max_used = max(max_used, c)
+    adj = _two_dipath_adjacency(D, budget)
+    return len(set(_solve_chromatic(D.n, adj, _Deadline(budget.timeout)).values()))
 
 
 def exact_oriented_coloring(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> VertexColoring:
     """An optimal oriented coloring of the given fixed orientation.
 
-    Backtracking enforces both the proper condition and the ordered
-    color-pair condition: no pair (a, b) may occur on arcs in both
-    directions.  k starts at the chromatic number of the underlying graph
-    and rises until the search succeeds, which it does at k = n at the
-    latest (all colors distinct).
+    An oriented coloring is a proper coloring of the 2-dipath graph (a path
+    u -> w -> v with c(u) = c(v) would put both (c(u), c(w)) and (c(w), c(u))
+    on arcs) in which no ordered color pair occurs on arcs in both
+    directions.  So k starts at the 2-dipath number, and the search runs on
+    the 2-dipath graph with the pair rule as an extra test on each color.
+    Color pairs are shared across components, so the whole graph is one
+    search.  A greedy 2-dipath clique is precolored: its vertices need
+    distinct colors, and one arc at most joins each two of them.  k rises
+    until the search succeeds, at k = n at the latest (all colors distinct).
     """
-    if D.n > budget.max_vertices:
-        raise BudgetExceededError(f"{D.n} vertices exceed budget {budget.max_vertices}")
+    adj = _two_dipath_adjacency(D, budget)
     deadline = _Deadline(budget.timeout)
-    und_adj = [set(D.out_neighbors(v)) | set(D.in_neighbors(v)) for v in range(D.n)]
-    k = len(set(_solve_chromatic(D.n, und_adj, deadline).values()))
-    order = sorted(range(D.n), key=lambda v: (-len(und_adj[v]), v))
-    arcs_at = [[(u, True) for u in D.out_neighbors(v)] + [(u, False) for u in D.in_neighbors(v)]
-               for v in range(D.n)]
-    while (colors := _oriented_feasible(arcs_at, order, k, deadline)) is None:
+    k = len(set(_solve_chromatic(D.n, adj, deadline).values()))
+    everything = list(range(D.n))
+    clique = _greedy_clique(everything, adj)
+    arcs = [[(u, True) for u in D.out_neighbors(v)] + [(u, False) for u in D.in_neighbors(v)]
+            for v in everything]
+    while (colors := _k_colorable(everything, adj, k, clique, deadline, arcs)) is None:
         k += 1
     return VertexColoring(colors)
 

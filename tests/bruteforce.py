@@ -7,7 +7,7 @@ tiny instances.  Graphs are passed as (n, edge list) or (n, arc list).
 
 import math
 import random
-from itertools import combinations, product
+from itertools import combinations
 
 
 def _adj(n, edges):
@@ -110,15 +110,28 @@ def oriented_assignment_valid(arcs, colors):
     return True
 
 
+def canonical_assignments(n, k):
+    """Every map from n vertices to k colors up to renaming the colors: each
+    vertex takes a color already used or the least unused one.  Both
+    validity tests below are blind to renaming, so these suffice."""
+    def grow(prefix, used):
+        if len(prefix) == n:
+            yield tuple(prefix)
+            return
+        for c in range(min(k, used + 1)):
+            prefix.append(c)
+            yield from grow(prefix, max(used, c + 1))
+            prefix.pop()
+
+    return grow([], 0)
+
+
 def min_oriented(n, arcs):
     if n == 0:
         return 0
-    if not arcs:
-        return 1
     for k in range(1, n + 1):
-        for assignment in product(range(k), repeat=n):
-            if oriented_assignment_valid(arcs, assignment):
-                return k
+        if any(oriented_assignment_valid(arcs, a) for a in canonical_assignments(n, k)):
+            return k
     return n
 
 
@@ -138,9 +151,8 @@ def min_2dipath(n, arcs):
     if n == 0:
         return 0
     for k in range(1, n + 1):
-        for assignment in product(range(k), repeat=n):
-            if dipath2_assignment_valid(n, arcs, assignment):
-                return k
+        if any(dipath2_assignment_valid(n, arcs, a) for a in canonical_assignments(n, k)):
+            return k
     return n
 
 

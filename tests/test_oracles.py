@@ -4,6 +4,8 @@ from itertools import combinations, product
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from injcolor import (
     BudgetExceededError,
@@ -112,18 +114,39 @@ def test_2dipath_below_oriented_sampled_n5():
         assert exact_2dipath_number(D) <= exact_oriented_number(D)
 
 
-def test_oracles_match_bruteforce_on_random_instances():
-    for seed in range(40):
-        rng = random.Random(seed)
-        n = rng.randint(2, 5)
-        pairs = list(combinations(range(n), 2))
-        edges = [p for p in pairs if rng.random() < 0.5]
-        G = UndirectedGraph(n, edges)
-        assert exact_chromatic_number(G) == min_chromatic(n, edges)
-        assert exact_injective_index(G) == min_injective_colors(n, edges)
-        D = _random_oriented(n, seed + 1000)
-        assert exact_oriented_number(D) == min_oriented(n, D.arcs())
-        assert exact_2dipath_number(D) == min_2dipath(n, D.arcs())
+@st.composite
+def small_orientations(draw, max_n=7):
+    """An oriented graph on at most max_n vertices.  No arc joins the
+    vertices below the drawn split to those above it, so a split inside
+    (0, n) gives a disconnected orientation."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    split = draw(st.integers(min_value=0, max_value=n))
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if (u < split) == (v < split)]
+    states = draw(st.lists(st.sampled_from((0, 1, 2)), min_size=len(pairs), max_size=len(pairs)))
+    return OrientedGraph(n, [(u, v) if s == 1 else (v, u) for (u, v), s in zip(pairs, states) if s])
+
+
+@settings(max_examples=400, deadline=None)
+@given(small_orientations())
+def test_oracles_match_bruteforce_on_random_instances(D):
+    n, arcs = D.n, D.arcs()
+    edges = D.underlying().edges()
+    G = UndirectedGraph(n, edges)
+    assert exact_chromatic_number(G) == min_chromatic(n, edges)
+    assert exact_injective_index(G) == min_injective_colors(n, edges)
+    coloring = exact_oriented_coloring(D)
+    assert verify_oriented_coloring(D, coloring)
+    assert coloring.k == min_oriented(n, arcs)
+    assert exact_2dipath_number(D) == min_2dipath(n, arcs)
+
+
+def test_oriented_number_of_a_disjoint_union_exceeds_each_part():
+    # A directed and a transitive triangle each take 3 colors, but on 3
+    # colors the first puts a cyclic and the second a transitive tournament
+    # on the color pairs, so together they need 4.  Solving each component
+    # on its own would return 3.
+    D = OrientedGraph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (3, 5), (4, 5)])
+    assert exact_oriented_number(D) == min_oriented(6, D.arcs()) == 4
 
 
 def test_bipartite_coloring_matches_networkx():
@@ -188,6 +211,29 @@ def test_chromatic_search_honors_the_deadline():
     assert exact_chromatic_number(G, OracleBudget(2000, 2000, timeout=60.0)) == 3
     with pytest.raises(BudgetExceededError):
         exact_chromatic_number(G, OracleBudget(2000, 2000, timeout=-1.0))
+
+
+def test_oriented_search_honors_the_deadline():
+    # The search on the 2-dipath graph of this path passes 512 deadline
+    # checks, so the clock is read and the negative timeout raises.
+    D = OrientedGraph(1200, [(v, v + 1) for v in range(1199)])
+    with pytest.raises(BudgetExceededError):
+        exact_oriented_number(D, OracleBudget(1200, 1200, timeout=-1.0))
+
+
+def test_forced_search_is_linear_in_the_component():
+    # k = 2 on a path and on an odd cycle leaves one color for each vertex,
+    # so the search places each vertex once (and unwinds the odd cycle once).
+    # Each step picks from the saturation buckets; a scan of the component
+    # per step would be quadratic and overrun the timeout here.
+    budget = OracleBudget(20001, 20001, timeout=10)
+    G = path(20000)
+    assert exact_chromatic_number(G, budget) == 2
+    assert exact_chromatic_number(cycle(20001), budget) == 3
+    deadline = _Deadline(10)
+    _solve_chromatic(G.n, [G.neighbors(v) for v in range(G.n)], deadline)
+    # Two precolored clique vertices, one node per other vertex, one final node.
+    assert deadline.nodes == G.n - 1
 
 
 def test_long_directed_path_does_not_exhaust_the_call_stack():
