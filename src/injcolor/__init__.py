@@ -36,7 +36,6 @@ from .separating import (
     verify_separating_family,
 )
 from .hypergraphs import (
-    Hypergraph,
     clique_graph,
     neighborhood_hypergraph,
     peel_color_clique_graph,

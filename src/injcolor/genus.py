@@ -110,9 +110,9 @@ def _color_classes(D: OrientedGraph, v2: tuple[int, ...], proper: VertexColoring
     peel_colors: dict[str, int] = {}
 
     def color_class(cls: int, X: list[int]) -> EdgeColoring:
-        hyper, originals = neighborhood_hypergraph(D, X)
-        dense = peel_color_clique_graph(hyper, genus=genus)
-        hcol = VertexColoring({originals[i]: c for i, c in dense.colors.items()})
+        hyperedges, heads = neighborhood_hypergraph(D, X)
+        dense = peel_color_clique_graph(hyperedges, genus=genus)
+        hcol = VertexColoring({heads[i]: c for i, c in dense.colors.items()})
         peel_colors[f"class_{cls}"] = hcol.k
         order = r or max(2, max(D.out_degree(x) for x in X))
         family = build_separating_family(max(hcol.k, order), order, derive_seed(rng_seed, cls))

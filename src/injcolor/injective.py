@@ -46,11 +46,12 @@ class FamilyTooWeakError(RuntimeError, InjcolorError):
 
 
 def _out_arcs_of_independent(D: OrientedGraph, X: Iterable[int]) -> tuple[list[int], list[Edge]]:
-    """X sorted, and the sorted arcs leaving it; raises unless X is independent."""
+    """X sorted, and the sorted arcs leaving it; raises unless X is independent,
+    which the out-neighbors alone decide: an edge inside X leaves one of its ends."""
     members = sorted(set(X))
     xset = set(members)
     for x in members:
-        if not D.out_neighbors(x).isdisjoint(xset) or not D.in_neighbors(x).isdisjoint(xset):
+        if not D.out_neighbors(x).isdisjoint(xset):
             raise ValueError(f"vertex set is not independent: {x} has a neighbor inside it")
     return members, D.arcs_out_of(members)
 
@@ -114,9 +115,11 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     arc (x, a) keeps the last c in which a was x's only out-neighbor in S_c
     (_last_sole_rounds).  After ceil(4*e*d*ln(max_degree)) rounds, extra
     rounds run one at a time while arcs remain uncolored, up to
-    ROUND_LIMIT_FACTOR times that count.  _shade_rounds then splits each
-    round into shades via a proper coloring of an auxiliary graph on its
-    heads, which makes every class an induced star forest.
+    ROUND_LIMIT_FACTOR times that count.  An arc that has a sole round keeps
+    one, so an extra round rescans only the tails with an uncolored arc, and
+    one last pass over all tails reads their final rounds.  _shade_rounds then
+    splits each round into shades via a proper coloring of an auxiliary graph
+    on its heads, which makes every class an induced star forest.
     """
     members, targets = _out_arcs_of_independent(D, X)
     if not targets:
@@ -131,17 +134,24 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     xset = set(members)
     others = [v for v in range(D.n) if v not in xset]
     mask = dict.fromkeys(others, 0)
+    pending, pending_arcs = members, len(targets)
     for rounds in range(1, limit + 1):
         for a in others:
             if rng.random() < prob:
                 mask[a] |= 1 << (rounds - 1)
-        if rounds >= nominal:
-            round_of = _last_sole_rounds(D, members, mask)
-            if len(round_of) == len(targets):
-                break
+        if rounds < nominal:
+            continue
+        round_of = _last_sole_rounds(D, pending, mask)
+        missing = pending_arcs - len(round_of)
+        if not missing:
+            break
+        pending = [x for x in pending if any((x, a) not in round_of for a in D.out_neighbors(x))]
+        pending_arcs = sum(D.out_degree(x) for x in pending)
     else:
-        raise RoundLimitExceededError(f"{len(targets) - len(round_of)} arcs uncolored after "
-                                      f"{limit} rounds (seed {rng_seed})")
+        raise RoundLimitExceededError(f"{missing} arcs uncolored after {limit} rounds "
+                                      f"(seed {rng_seed})")
+    if pending is not members:
+        round_of = _last_sole_rounds(D, members, mask)
     return _shade_rounds(D, round_of)
 
 

@@ -73,6 +73,22 @@ def test_randomized_rejects_dependent_set():
         color_arcs_randomized(D, [0, 1], 0)
 
 
+@pytest.mark.parametrize("arc", [(0, 1), (1, 0)], ids=["0to1", "1to0"])
+@pytest.mark.parametrize("refuse, message", [
+    (lambda D: color_arcs_randomized(D, [0, 1], 0),
+     "^vertex set is not independent: {} has a neighbor inside it$"),
+    (lambda D: color_arcs_deterministic(D, [0, 1], VertexColoring({0: 1, 1: 2}),
+                                        build_separating_family(2, 2, 0)),
+     "^vertex set is not independent: {} has a neighbor inside it$"),
+    (lambda D: neighborhood_hypergraph(D, [0, 1]), "^out-neighborhood of {} meets X$"),
+], ids=["randomized", "deterministic", "hypergraph"])
+def test_dependent_sets_are_refused_at_the_tail(refuse, message, arc):
+    """Each arc inside X leaves one of its ends, so the out-neighbor test
+    refuses it at its tail, whichever end that is."""
+    with pytest.raises(ValueError, match=message.format(arc[0])):
+        refuse(OrientedGraph(2, [arc]))
+
+
 def test_randomized_on_larger_class():
     G = random_degenerate_graph(80, 3, 2)
     ordering = degeneracy_order(G)
@@ -103,6 +119,23 @@ def test_randomized_extra_rounds_match_the_round_by_round_colorer(seed):
     round_of, rounds = randomized_rounds(D.n, arcs, X, seed)
     assert rounds > 16 and len(round_of) == len(arcs)  # extra rounds colored the rest
     assert color_arcs_randomized(D, X, seed) == injective._shade_rounds(D, round_of)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_extra_rounds_rescan_only_tails_with_uncolored_arcs(monkeypatch, seed):
+    """One pass over all 3,000 tails at the nominal round and one at the end;
+    the extra rounds in between see only tails that still lack a round."""
+    D, _, X = _cherries(3000)
+    scanned = []
+    last_sole_rounds = injective._last_sole_rounds
+
+    def counting(D, tails, mask):
+        scanned.append(len(tails))
+        return last_sole_rounds(D, tails, mask)
+
+    monkeypatch.setattr(injective, "_last_sole_rounds", counting)
+    color_arcs_randomized(D, X, seed)
+    assert len(scanned) > 2 and sum(scanned) <= 2 * 3000 + 1000
 
 
 def test_randomized_round_limit_names_the_uncolored_arcs(monkeypatch):
