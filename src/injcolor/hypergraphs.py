@@ -46,13 +46,14 @@ def peel_color_clique_graph(hyperedges: list[frozenset[int]],
     clique graph.  When a genus bound g >= 2 for the incidence graph is
     asserted, peel degrees above 20*r^2*sqrt(g) - 1, r the largest hyperedge,
     raise a warning; g is caller-asserted, so this is diagnostic, not an error.
+    Without a nonempty hyperedge (r = 0) there is nothing to warn about.
     """
     K = clique_graph(hyperedges)
     ordering = degeneracy_order(K)
     if genus is not None and genus >= 2:
         r = max(map(len, hyperedges), default=0)
         bound = 20.0 * r * r * math.sqrt(genus)
-        if ordering.d > bound - 1:
+        if r and ordering.d > bound - 1:
             warnings.warn(
                 f"peel degree {ordering.d} exceeds {bound - 1:.1f}; "
                 "the asserted genus bound looks dishonest",

@@ -15,6 +15,8 @@ import random
 from itertools import combinations
 from typing import Iterable
 
+import numpy as np
+
 from .errors import BudgetExceededError, InjcolorError, InvalidColoringError
 from .graphs import (
     EdgeColoring,
@@ -100,10 +102,6 @@ class FullTarget:
         self.N = part_size
         self.d = d
         self.n = k * part_size
-
-    @property
-    def parts(self) -> list[range]:
-        return [range(i * self.N, (i + 1) * self.N) for i in range(self.k)]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(k={self.k}, N={self.N}, d={self.d})"
@@ -206,14 +204,13 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
 
 
 def _in_masks(H: FullGraph) -> list[int]:
-    masks = [0] * H.n
-    for u in range(H.n):
-        rest = H._out[u]
-        while rest:
-            low = rest & -rest
-            masks[low.bit_length() - 1] |= 1 << u
-            rest ^= low
-    return masks
+    """Per-vertex in-neighbor bitmasks: bit u of in-mask v is bit v of
+    out-mask u, so they are the rows of the transposed out-mask bit matrix."""
+    width = (H.n + 7) // 8
+    rows = np.frombuffer(b"".join(m.to_bytes(width, "little") for m in H._out), np.uint8)
+    bits = np.unpackbits(rows.reshape(H.n, width), axis=1, bitorder="little")[:, :H.n]
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def verify_full(H: FullGraph) -> bool:
@@ -228,6 +225,8 @@ def verify_full(H: FullGraph) -> bool:
     of W's out-masks and the union of W's in-masks each cover every other
     outside vertex.  That is C(n - N, d - 1) * 2^(d - 1) pool scans per
     part, which is why build_full_graph's vertex budget stops it at d = 2.
+    The in-masks come from one transposition of the out-mask bit matrix
+    (_in_masks).  A target with empty parts (N = 0) is refused.
     """
     n, N, k, d = H.n, H.N, H.k, H.d
     if N < 1:
@@ -272,43 +271,39 @@ def homomorphism_to_full(
     """Arc-preserving map from D into the full graph H.
 
     psi must be a valid 2-dipath coloring of D with colors in 1..H.k, and
-    the ordering must witness degeneracy at most H.d.  Vertices are embedded
-    along the ordering; each one goes to the smallest-id vertex of its
-    psi-part whose arc directions toward the already-embedded neighbors
-    match.  Fullness of H guarantees such a witness exists.  That psi is a
-    2-dipath coloring is not checked here (only its color range and the
-    ordering are); the pipeline verifies the final coloring in report.checks.
+    the ordering a permutation of D's vertices witnessing degeneracy at
+    most H.d.  Vertices are embedded along the ordering; each one goes to
+    the smallest-id vertex of its psi-part whose arc directions toward its
+    earlier neighbors, those already placed in the mapping, match.  Fullness
+    of H guarantees such a witness exists.  That psi is a 2-dipath coloring
+    is not checked here (only its color range and the ordering are); the
+    pipeline verifies the final coloring in report.checks.
     """
     if any(not 1 <= c <= H.k for c in psi.colors.values()):
         raise InvalidColoringError(f"psi uses colors outside 1..{H.k}")
-    if set(ordering.order) != set(range(D.n)):
-        raise ValueError("ordering does not cover the vertex set")
+    if sorted(ordering.order) != list(range(D.n)):
+        raise ValueError("ordering is not a permutation of the vertex set")
     if ordering.d > H.d:
         raise ValueError(
             f"ordering witnesses degeneracy {ordering.d} above the target's order {H.d}"
         )
-    pos = ordering.positions()
-    parts = H.parts
     mapping: dict[int, int] = {}
     for v in ordering.order:
-        # (u, +1) for each earlier out-neighbor u, (u, -1) for each earlier in-neighbor.
-        earlier = sorted([(u, 1) for u in D.out_neighbors(v) if pos[u] < pos[v]]
-                         + [(u, -1) for u in D.in_neighbors(v) if pos[u] < pos[v]])
+        # (u, +1) for each placed out-neighbor u, (u, -1) for each placed in-neighbor.
+        placed = sorted([(u, 1) for u in D.out_neighbors(v) if u in mapping]
+                        + [(u, -1) for u in D.in_neighbors(v) if u in mapping])
         constraints: dict[int, int] = {}
-        for u, sign in earlier:
+        for u, sign in placed:
             image = mapping[u]
             if constraints.setdefault(image, sign) != sign:
                 # Opposite signs toward one image need a directed 2-path
                 # between equal psi colors, which a 2-dipath coloring excludes.
                 raise NoWitnessError(f"conflicting sign requirements toward image {image}")
-        witness = None
-        for x in parts[psi[v] - 1]:
-            if all(
-                H.has_arc(x, image) if sign == 1 else H.has_arc(image, x)
-                for image, sign in constraints.items()
-            ):
-                witness = x
-                break
+        part = range((psi[v] - 1) * H.N, psi[v] * H.N)
+        witness = next((x for x in part if all(
+            H.has_arc(x, image) if sign == 1 else H.has_arc(image, x)
+            for image, sign in constraints.items()
+        )), None)
         if witness is None:
             raise NoWitnessError(
                 f"no witness in part {psi[v]} for vertex {v}; the target is not full "

@@ -168,6 +168,18 @@ def exact_degeneracy(n, edges):
     return best
 
 
+def in_masks(out_masks):
+    """In-neighbor bitmasks from out-neighbor bitmasks, one set bit at a time:
+    bit v of out_masks[u] sets bit u of the result's entry v."""
+    masks = [0] * len(out_masks)
+    for u, rest in enumerate(out_masks):
+        while rest:
+            low = rest & -rest
+            masks[low.bit_length() - 1] |= 1 << u
+            rest ^= low
+    return masks
+
+
 def sole_hits(out, tails, selected):
     """Map each tail whose out-neighbors out[tail] include exactly one
     selected vertex to that vertex."""

@@ -1,4 +1,5 @@
 import random
+import warnings
 from itertools import combinations
 
 import pytest
@@ -129,3 +130,11 @@ def test_peel_warns_on_dishonest_genus():
     hyperedges = [frozenset(p) for p in combinations(range(120), 2)]
     with pytest.warns(UserWarning):
         peel_color_clique_graph(hyperedges, genus=2)
+
+
+@pytest.mark.parametrize("hyperedges", [[], [frozenset()]], ids=["none", "empty"])
+def test_peel_without_a_nonempty_hyperedge_does_not_warn(hyperedges):
+    # r = 0 puts the threshold at -1, which a peel degree of 0 would exceed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert peel_color_clique_graph(hyperedges, genus=2).k == 0

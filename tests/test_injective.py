@@ -208,6 +208,8 @@ def test_deterministic_rejects_improper_hcol():
         color_arcs_deterministic(D, [0], VertexColoring({1: 1, 2: 1}), fam)
     with pytest.raises(InvalidColoringError):
         color_arcs_deterministic(D, [0], VertexColoring({1: 1, 2: 9}), fam)
+    with pytest.raises(InvalidColoringError, match="^vertex 2 has no color$"):
+        color_arcs_deterministic(D, [0], VertexColoring({1: 1}), fam)
     with pytest.raises(ValueError):
         # separation order below the out-degree
         D3 = OrientedGraph(4, [(0, 1), (0, 2), (0, 3)])
@@ -358,6 +360,8 @@ def test_verify_injective_examples():
     assert verify_injective(P4, EdgeColoring({(0, 1): 1, (1, 2): 1, (2, 3): 2}))
     with pytest.raises(InvalidColoringError):
         verify_injective(P4, EdgeColoring({(0, 1): 1}))
+    with pytest.raises(InvalidColoringError, match=r"^colored non-edges present, e.g. \[\(0, 2\)\]$"):
+        verify_injective(path(3), EdgeColoring({(0, 1): 1, (1, 2): 2, (0, 2): 3}))
 
 
 def test_verify_injective_agrees_with_direct_definition():

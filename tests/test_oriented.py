@@ -11,8 +11,10 @@ from injcolor import (
     EdgeColoring,
     FullGraph,
     InvalidColoringError,
+    NoWitnessError,
     OrientedGraph,
     VertexColoring,
+    VertexOrdering,
     add_unique_colors,
     build_full_graph,
     coloring_from_homomorphism,
@@ -32,7 +34,7 @@ from injcolor import (
     verify_oriented_coloring,
 )
 from injcolor import oriented
-from .bruteforce import dipath2_assignment_valid, oriented_assignment_valid
+from .bruteforce import dipath2_assignment_valid, in_masks, oriented_assignment_valid
 
 
 def test_oriented_from_injective_single_arc():
@@ -149,6 +151,28 @@ def test_full_graph_structure():
             assert H.has_arc(u, v) != H.has_arc(v, u)
     expected_cross = (H.n * (H.n - H.N)) // 2
     assert H.arc_count == expected_cross
+    assert oriented._in_masks(H) == in_masks(H._out)
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 33, 100])
+def test_in_masks_transpose_any_bit_matrix(n):
+    """The transposition needs no orientation: loops, digons and empty or
+    full rows all come back as the per-bit reference has them."""
+    rng = random.Random(n)
+    for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+        out = [sum(1 << v for v in range(n) if rng.random() < density) for _ in range(n)]
+        assert oriented._in_masks(FullGraph(1, n, 2, out)) == in_masks(out)
+
+
+def _part_zero_outward(H):
+    """H's out-masks with every arc between part 0 and the rest leaving part 0."""
+    out = list(H._out)
+    pmask = (1 << H.N) - 1
+    for x in range(H.N):
+        out[x] |= ((1 << H.n) - 1) & ~pmask
+    for v in range(H.N, H.n):
+        out[v] &= ~pmask
+    return out
 
 
 def test_verify_full_counterexamples():
@@ -161,13 +185,7 @@ def test_verify_full_counterexamples():
 
     # redirect part 0 fully outward: patterns pointing into part 0 disappear
     H = build_full_graph(5, 2, 1)
-    out = list(H._out)
-    pmask = (1 << H.N) - 1
-    for x in range(H.N):
-        out[x] |= ((1 << H.n) - 1) & ~pmask
-    for v in range(H.N, H.n):
-        out[v] &= ~pmask
-    assert not verify_full(FullGraph(5, H.N, 2, out))
+    assert not verify_full(FullGraph(5, H.N, 2, _part_zero_outward(H)))
 
     # remove the single pattern "x -> u and x -> v" for one pair outside part 0
     out = list(H._out)
@@ -177,6 +195,9 @@ def test_verify_full_counterexamples():
             out[x] &= ~(1 << v)
             out[v] |= 1 << x
     assert not verify_full(FullGraph(5, H.N, 2, out))
+
+    # empty parts hold no witness
+    assert verify_full(FullGraph(5, 0, 2, [])) is False
 
 
 def test_verify_full_matches_brute_force():
@@ -283,10 +304,35 @@ def test_homomorphism_rejects_bad_inputs():
     assert verify_homomorphism(D, H, h)
     with pytest.raises(InvalidColoringError):
         homomorphism_to_full(D, ordering, VertexColoring({0: 1, 1: 2, 2: 7}), H)
-    from injcolor import VertexOrdering
-
     with pytest.raises(ValueError):
         homomorphism_to_full(D, VertexOrdering((0, 1, 2), 5), VertexColoring({0: 1, 1: 2, 2: 3}), H)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 1, 2), (0, 1)], ids=["repeated", "missing"])
+def test_homomorphism_refuses_an_ordering_that_is_not_a_permutation(order):
+    D = OrientedGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="^ordering is not a permutation of the vertex set$"):
+        homomorphism_to_full(D, VertexOrdering(order, 2), VertexColoring({0: 1, 1: 2, 2: 3}),
+                             build_full_graph(5, 2, 0))
+
+
+def test_homomorphism_refuses_opposite_signs_toward_one_image():
+    # 0 and 1 share psi color 1 and no placed neighbor, so both land on
+    # target vertex 0; then 2 needs an arc from 0's image and one into 1's.
+    D = OrientedGraph(3, [(0, 2), (2, 1)])
+    psi = VertexColoring({0: 1, 1: 1, 2: 2})
+    with pytest.raises(NoWitnessError, match="^conflicting sign requirements toward image 0$"):
+        homomorphism_to_full(D, VertexOrdering((0, 1, 2), 1), psi, build_full_graph(5, 2, 0))
+
+
+def test_homomorphism_refuses_a_part_without_a_witness():
+    # every arc between part 0 and the rest leaves part 0, so vertex 1, colored
+    # into part 1 (ids 0..N-1), finds no arc from the image of its in-neighbor 0
+    H = build_full_graph(5, 2, 1)
+    target = FullGraph(5, H.N, 2, _part_zero_outward(H))
+    D = OrientedGraph(2, [(0, 1)])
+    with pytest.raises(NoWitnessError, match="^no witness in part 1 for vertex 1;"):
+        homomorphism_to_full(D, VertexOrdering((0, 1), 1), VertexColoring({0: 2, 1: 1}), target)
 
 
 def test_sampled_full_orientation_is_digon_free_and_usable():
