@@ -46,7 +46,8 @@ EXIT_INPUT_ERROR = 1
 EXIT_INVALID = 2
 
 # gen refuses complete and random-genus-lb outputs spanning more vertex pairs
-# C(n, 2) than this (n <= 2,449), since it holds every edge in a Python set.
+# C(n, 2) than this (n <= 2,449), since the drawn edges or arc arrays and the
+# output text grow with C(n, 2).
 GEN_PAIR_BUDGET = 3 * 10**6
 
 

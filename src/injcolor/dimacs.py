@@ -79,14 +79,20 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
 
 
 def emit_graph(graph: UndirectedGraph | OrientedGraph) -> str:
-    lines = []
+    """The problem line, then the arcs (or the edges as (min, max) pairs) in
+    lexicographic order; each vertex's lines are one join over id strings."""
     if isinstance(graph, OrientedGraph):
-        lines.append(f"p arc {graph.n} {graph.m}")
-        lines.extend(f"a {u + 1} {v + 1}" for u, v in graph.arcs())
+        kind, tag, rows = "arc", "a", graph._rows()
     else:
-        lines.append(f"p edge {graph.n} {graph.m}")
-        lines.extend(f"e {u + 1} {v + 1}" for u, v in graph.edges())
-    return "\n".join(lines) + "\n"
+        kind, tag = "edge", "e"
+        rows = (sorted(v for v in graph.neighbors(u) if v > u) for u in range(graph.n))
+    ids = [str(v) for v in range(1, graph.n + 1)]
+    blocks = [f"p {kind} {graph.n} {graph.m}"]
+    for u, heads in enumerate(rows):
+        if heads:
+            prefix = f"{tag} {ids[u]} "
+            blocks.append(prefix + ("\n" + prefix).join([ids[v] for v in heads]))
+    return "\n".join(blocks) + "\n"
 
 
 def coloring_to_obj(coloring: EdgeColoring | VertexColoring) -> dict:

@@ -62,28 +62,29 @@ def random_genus_lowerbound(n: int, rng_seed: int = 0) -> OrientedGraph:
     probability min(1, sqrt(150 ln n / n)), oriented by a fair coin.
 
     The output is digon-free by construction (one orientation per sampled
-    pair).  Sampling is vectorized row by row so large n stays fast.
+    pair).  Sampling is vectorized row by row, and the arcs stay arrays: row
+    order already sorts the heads within each tail, so one stable sort on the
+    tails puts them in (tail, head) order.
     """
     if n < 2 or n % 2:
         raise ValueError("needs even n >= 2")
     p = edge_probability(n)
     rng = np.random.default_rng(rng_seed)
-    out: list[set[int]] = [set() for _ in range(n)]
-    m = 0
-    values = list(range(n))  # shared int objects keep the adjacency sets lean
+    # The narrowest type that holds every id keeps the arrays small, and up
+    # to 2^16 vertices lets the stable sort run as a radix sort.
+    id_type = np.min_scalar_type(n - 1)
+    tails, heads = [np.empty(0, id_type)], [np.empty(0, id_type)]
     for u in range(n - 1):
-        row = rng.random(n - 1 - u)
-        picked = np.nonzero(row < p)[0]
+        picked = np.nonzero(rng.random(n - 1 - u) < p)[0]
         if picked.size == 0:
             continue
-        flips = rng.random(picked.size) < 0.5
-        heads = u + 1 + picked
-        m += int(picked.size)
-        out[u].update(values[v] for v in heads[flips].tolist())
-        u_obj = values[u]
-        for v in heads[~flips].tolist():
-            out[v].add(u_obj)
-    return OrientedGraph._from_out_sets(n, out, m)
+        forward = rng.random(picked.size) < 0.5
+        others = (u + 1 + picked).astype(id_type)
+        tails.append(np.where(forward, u, others))
+        heads.append(np.where(forward, others, u))
+    tails, heads = np.concatenate(tails), np.concatenate(heads)
+    order = np.argsort(tails, kind="stable")
+    return OrientedGraph._from_sorted_arcs(n, tails[order], heads[order])
 
 
 def pad_with_k5(G: UndirectedGraph, copies: int) -> UndirectedGraph:

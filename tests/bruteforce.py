@@ -231,3 +231,13 @@ def randomized_rounds(n, arcs, X, seed, round_limit_factor=64):
         for x, a in sole_hits(out, tails, selected).items():
             round_of[(x, a)] = rounds
     return round_of, rounds
+
+
+def dimacs_text(n, pairs, kind):
+    """DIMACS graph text with one f-string per line: the problem line, then
+    the pairs in lexicographic order.  kind is "edge" (pairs given as
+    (min, max)) or "arc" (pairs given as (tail, head))."""
+    tag = "e" if kind == "edge" else "a"
+    lines = [f"p {kind} {n} {len(pairs)}"]
+    lines.extend(f"{tag} {u + 1} {v + 1}" for u, v in sorted(pairs))
+    return "\n".join(lines) + "\n"

@@ -4,7 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from injcolor import (
@@ -27,6 +27,8 @@ from injcolor import (
 from injcolor import cli
 from injcolor.cli import run_command
 from injcolor.dimacs import ParseError, coloring_from_obj, coloring_to_obj, emit_graph, parse_graph
+
+from .bruteforce import dimacs_text
 
 
 def run(argv, stdin=None):
@@ -58,14 +60,20 @@ def test_graph_round_trip():
 
 
 @st.composite
-def any_graphs(draw):
-    """An undirected or an arbitrarily oriented graph on up to 10 vertices."""
+def graphs_with_pairs(draw):
+    """An undirected or an arbitrarily oriented graph on up to 10 vertices,
+    with its DIMACS kind and its edges as (min, max) or its arcs."""
     n = draw(st.integers(min_value=0, max_value=10))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
     if draw(st.booleans()):
-        return UndirectedGraph(n, edges)
-    return OrientedGraph(n, [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges])
+        return UndirectedGraph(n, edges), "edge", edges
+    arcs = [(u, v) if draw(st.booleans()) else (v, u) for u, v in edges]
+    return OrientedGraph(n, arcs), "arc", arcs
+
+
+def any_graphs():
+    return graphs_with_pairs().map(lambda drawn: drawn[0])
 
 
 @settings(max_examples=150, deadline=None)
@@ -73,6 +81,18 @@ def any_graphs(draw):
 def test_emit_parse_round_trip(G):
     parsed = parse_graph(emit_graph(G))
     assert type(parsed) is type(G) and parsed == G
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs_with_pairs())
+@example((UndirectedGraph(0), "edge", []))
+@example((OrientedGraph(0), "arc", []))
+@example((UndirectedGraph(4), "edge", []))
+@example((OrientedGraph(5, [(3, 1)]), "arc", [(3, 1)]))
+@example((UndirectedGraph(12, [(10, 2), (0, 11)]), "edge", [(2, 10), (0, 11)]))
+def test_emit_graph_matches_one_line_per_pair(drawn):
+    G, kind, pairs = drawn
+    assert emit_graph(G) == dimacs_text(G.n, pairs, kind)
 
 
 _EDGE = "p edge 2 1\ne 1 2\n"

@@ -4,6 +4,7 @@ import pytest
 
 from injcolor import (
     OracleBudget,
+    OrientedGraph,
     complete_graph,
     cycle,
     degeneracy_order,
@@ -17,6 +18,7 @@ from injcolor import (
     random_genus_lowerbound,
     random_orientation,
 )
+from injcolor.dimacs import emit_graph
 
 
 def test_classical_families():
@@ -52,11 +54,27 @@ def test_random_genus_lowerbound_digon_free_and_deterministic():
     for u, v in D.arcs():
         assert not D.has_arc(v, u)
     assert D == random_genus_lowerbound(40, 9)
-    assert D.m != random_genus_lowerbound(40, 10).m or True  # seeds may collide on m
+    assert D != random_genus_lowerbound(40, 10)
     with pytest.raises(ValueError):
         random_genus_lowerbound(3, 0)
     with pytest.raises(ValueError):
         random_genus_lowerbound(0, 0)
+
+
+@pytest.mark.parametrize("n, seed", [(40, 0), (40, 9), (40, 10), (1100, 3), (1100, 4)])
+def test_array_drawn_graph_matches_the_same_arcs_built_from_sets(n, seed):
+    D = random_genus_lowerbound(n, seed)
+    text = emit_graph(D)
+    assert not isinstance(D._out, list)  # emitting reads the arrays, not out-sets
+    E = OrientedGraph(n, D.arcs())
+    assert text == emit_graph(E)
+    assert D.arcs() == E.arcs() and D.m == E.m
+    assert D == E
+    assert all(D.in_neighbors(v) == E.in_neighbors(v) for v in range(n))
+    probes = D.arcs() + [(v, u) for u, v in D.arcs()] + [(u, u) for u in range(n)]
+    assert all(D.has_arc(u, v) == E.has_arc(u, v) for u, v in probes)
+    assert D.max_out_degree == E.max_out_degree
+    assert D.underlying().m == E.underlying().m == D.m
 
 
 def test_random_genus_lowerbound_inclusion_rate():

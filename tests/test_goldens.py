@@ -178,6 +178,9 @@ def _cases(tmp: Path):
     yield "inj-genus-huge-g", ["inj-genus", "--g", "1" * 401], emit_graph(cycle(50))
     yield "oriented-2dipath-huge-g", ["oriented-2dipath", "--g", "1" * 401], emit_graph(
         random_orientation(cycle(50), 1))
+    # At n = 1100 the edge probability is about 0.977 < 1, so rows skip pairs.
+    yield "gen-random-genus-lb-sparse", ["gen", "--family", "random-genus-lb", "--n", "1100",
+                                         "--seed", "3"], ""
 
 
 def _digests(tmp: Path) -> dict[str, str]:
