@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from itertools import combinations, product
@@ -24,10 +25,12 @@ from injcolor import (
     exact_oriented_number,
     path,
     random_degenerate_graph,
+    random_orientation,
     verify_injective,
     verify_oriented_coloring,
 )
 from injcolor.cli import run_command
+from injcolor import oracles
 from injcolor.dimacs import emit_graph
 from injcolor.oracles import _conflict_adjacency, _Deadline, _solve_chromatic
 from .bruteforce import min_2dipath, min_chromatic, min_injective_colors, min_oriented
@@ -221,7 +224,58 @@ def test_oriented_search_honors_the_deadline():
         exact_oriented_number(D, OracleBudget(1200, 1200, timeout=-1.0))
 
 
-def test_forced_search_is_linear_in_the_component():
+def _record_deadlines(monkeypatch) -> list[_Deadline]:
+    """Every _Deadline the oracles make from now on, in order of creation."""
+    made = []
+
+    def deadline(timeout):
+        made.append(_Deadline(timeout))
+        return made[-1]
+
+    monkeypatch.setattr(oracles, "_Deadline", deadline)
+    return made
+
+
+# Per pool-like instance i (random_degenerate_graph(24 + i % 7, 3, 1000 + i)
+# and random_orientation(G, 2000 + i)): the _Deadline.nodes and the sha256 of
+# the witness of the injective, chromatic and oriented oracles.  The
+# injective searches prove k = chi - 1 infeasible and then find a coloring.
+PINNED_SEARCHES = {
+    8: {"inj": (1289, "e003e6a52e1f629b284157b4d197f94b08ee6a0bdfcfc806ec450c0185a6ca8f"),
+        "chromatic": (22, "7db9543b115e8d7621d053cf5ed902ef03afcf0ce5c805b2973312524f991d08"),
+        "oriented": (81, "2f7f5dff2f5d5ec55a29b88268ae03c29e78f6d024daf11b644a6e4cd9784632")},
+    10: {"inj": (1929, "998316e0a4bbedf4f26742f80e55c5ce281fa13bd3a13ff4e35903d7ead4fec2"),
+         "chromatic": (24, "b9465662df15fc1d71e1e860ed93568792dd9bf715b8691d8c1d41fa60ab31df"),
+         "oriented": (79, "4bd7cf338bcf87ae513e68557b0a0d59137b23e90354ad462244853da49b5a71")},
+    11: {"inj": (1456, "3860546c4e1a50758e4905f0fd2775b9f934b6a5a584dcdf9033535dba70e848"),
+         "chromatic": (28, "e4ea4ed31918f5ed2c4fd1a607f0aa1c5df45b0babaea13f5cc25869f37b3959"),
+         "oriented": (144, "eb02dfe340e62fb9d64d693d46f87ab86fe58b6ee14ab5a4352d8a4375be9008")},
+}
+
+
+@pytest.mark.parametrize("i", sorted(PINNED_SEARCHES))
+def test_pool_searches_keep_their_node_counts_and_witnesses(monkeypatch, i):
+    # Any change to the search order, or a vertex lost from the buckets,
+    # moves a node count or a witness here.
+    G = random_degenerate_graph(24 + i % 7, 3, 1000 + i)
+    D = random_orientation(G, 2000 + i)
+    budget = OracleBudget(30, 90)
+    deadlines = _record_deadlines(monkeypatch)
+    witnesses = {"inj": exact_injective_coloring(G, budget),
+                 "chromatic": exact_chromatic_coloring(G, budget),
+                 "oriented": exact_oriented_coloring(D, budget)}
+    assert verify_injective(G, witnesses["inj"])
+    assert all(witnesses["chromatic"][u] != witnesses["chromatic"][v] for u, v in G.edges())
+    assert verify_oriented_coloring(D, witnesses["oriented"])
+    found = {}
+    for (param, coloring), deadline in zip(witnesses.items(), deadlines, strict=True):
+        assert set(coloring.colors.values()) <= set(range(1, coloring.k + 1))
+        text = repr(sorted(coloring.colors.items())).encode()
+        found[param] = (deadline.nodes, hashlib.sha256(text).hexdigest())
+    assert found == PINNED_SEARCHES[i]
+
+
+def test_forced_search_is_linear_in_the_component(monkeypatch):
     # k = 2 on a path and on an odd cycle leaves one color for each vertex,
     # so the search places each vertex once (and unwinds the odd cycle once).
     # Each step picks from the saturation buckets; a scan of the component
@@ -234,6 +288,12 @@ def test_forced_search_is_linear_in_the_component():
     _solve_chromatic(G.n, [G.neighbors(v) for v in range(G.n)], deadline)
     # Two precolored clique vertices, one node per other vertex, one final node.
     assert deadline.nodes == G.n - 1
+    # The oriented search on a directed path: k = 3 on its 2-dipath graph,
+    # then the same k with the color-pair test on each arc.
+    deadlines = _record_deadlines(monkeypatch)
+    D = OrientedGraph(1200, [(v, v + 1) for v in range(1199)])
+    assert exact_oriented_number(D, OracleBudget(1200, 1200, timeout=10)) == 3
+    assert [d.nodes for d in deadlines] == [2396]
 
 
 def test_long_directed_path_does_not_exhaust_the_call_stack():
