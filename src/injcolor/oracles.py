@@ -11,6 +11,9 @@ greedy clique in each component.  The oriented search runs on the 2-dipath
 graph as a whole, with an ordered color-pair test on each color, and starts
 from the 2-dipath number.  The search keeps its own trail instead of
 recursing, and picks each vertex from saturation buckets, not by a scan.
+Each uncolored vertex holds one int whose bit c marks a neighbor colored c,
+so a placement costs one bit test per neighbor, and undoing it touches only
+the neighbors it saturated.
 """
 
 from __future__ import annotations
@@ -91,14 +94,19 @@ def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int]
     symmetry breaking.
 
     Uncolored vertices (color 0) sit in buckets by saturation, the number of
-    distinct colors among their colored neighbors; count[w][c] is how many
-    neighbors of w have color c.  The next vertex is the one of highest
-    saturation, then highest degree, then lowest id; colors are tried in
-    ascending order.
-    The trail holds (vertex, color, max_used before it) for each placed
-    vertex.  With arcs, where arcs[v] lists (neighbor, whether the arc leaves
-    v), a color is refused when one of v's arcs would carry the reverse of an
-    ordered color pair already on an arc: the oriented search.
+    distinct colors among their colored neighbors.  Bit c of seen[w] says
+    that a colored neighbor of w has color c, so an uncolored w sits in
+    bucket seen[w].bit_count() and may take c when bit c is clear.  A
+    colored vertex holds the all-ones mask -1, so placing c on v saturates
+    exactly the neighbors w with bit c clear in seen[w], and moves only those
+    up one bucket.  The next vertex is the one of highest saturation, then
+    highest degree, then lowest id; colors are tried in ascending order.
+    The trail holds (vertex, color, max_used before it, the vertex's mask
+    before it, the neighbors the placement saturated) for each placed
+    vertex, so undoing a placement touches only those neighbors.  With arcs,
+    where arcs[v] lists (neighbor, whether the arc leaves v), a color is
+    refused when one of v's arcs would carry the reverse of an ordered color
+    pair already on an arc: the oriented search.
     """
     # Local ids in selection-rank order, so that every table is a list and
     # the highest id in a bucket is the next vertex.
@@ -106,8 +114,7 @@ def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int]
     local = {u: i for i, u in enumerate(order)}
     nbrs = [[local[w] for w in adj[u]] for u in order]
     colors = [0] * len(order)
-    count = [[0] * (k + 1) for _ in order]
-    sat = [0] * len(order)
+    seen = [0] * len(order)
     buckets: list[set[int]] = [set(range(len(order)))] + [set() for _ in range(k)]
     if arcs is not None:
         arcs = [[(local[u], leaves) for u, leaves in arcs[v]] for v in order]
@@ -117,61 +124,68 @@ def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int]
         return [(c, colors[u]) if leaves else (colors[u], c)
                 for u, leaves in arcs[v] if colors[u]]
 
-    def allowed(v: int, c: int) -> bool:
-        return not count[v][c] and (arcs is None
-                                    or not any(pair_count[b, a] for a, b in arc_pairs(v, c)))
+    def next_color(v: int, c: int, hi: int) -> int:
+        """The lowest allowed color of v in c + 1..hi, or 0."""
+        free = ~seen[v] & ((2 << hi) - (2 << c))
+        while free:
+            d = (free & -free).bit_length() - 1
+            if arcs is None or not any(pair_count[b, a] for a, b in arc_pairs(v, d)):
+                return d
+            free &= free - 1
+        return 0
 
-    def place(v: int, c: int) -> None:
+    def place(v: int, c: int) -> tuple[int, ...]:
         if arcs is not None:
             pair_count.update(arc_pairs(v, c))
         colors[v] = c
-        buckets[sat[v]].remove(v)
-        for w in nbrs[v]:
-            if not colors[w]:
-                row = count[w]
-                row[c] += 1
-                if row[c] == 1:
-                    s = sat[w]
-                    buckets[s].remove(w)
-                    buckets[s + 1].add(w)
-                    sat[w] = s + 1
+        buckets[seen[v].bit_count()].remove(v)
+        seen[v] = -1
+        bit = 1 << c
+        saturated = [w for w in nbrs[v] if not seen[w] & bit]
+        for w in saturated:
+            seen[w] = now = seen[w] | bit
+            s = now.bit_count()
+            buckets[s - 1].remove(w)
+            buckets[s].add(w)
+        # A tuple of ints leaves the garbage collector's lists, so a deep
+        # trail does not slow every full collection.
+        return tuple(saturated)
 
-    def unplace(v: int, c: int) -> None:
+    def unplace(v: int, c: int, mask: int, saturated: tuple[int, ...]) -> None:
         colors[v] = 0
         if arcs is not None:
             pair_count.subtract(arc_pairs(v, c))
-        buckets[sat[v]].add(v)
-        for w in nbrs[v]:
-            if not colors[w]:
-                row = count[w]
-                row[c] -= 1
-                if not row[c]:
-                    s = sat[w]
-                    buckets[s].remove(w)
-                    buckets[s - 1].add(w)
-                    sat[w] = s - 1
+        seen[v] = mask
+        buckets[mask.bit_count()].add(v)
+        bit = 1 << c
+        for w in saturated:
+            seen[w] = now = seen[w] ^ bit
+            s = now.bit_count()
+            buckets[s + 1].remove(w)
+            buckets[s].add(w)
 
     for i, u in enumerate(clique):
         place(local[u], i + 1)
     max_used = len(clique)
-    trail: list[tuple[int, int, int]] = []
+    trail: list[tuple[int, int, int, int, tuple[int, ...]]] = []
     while True:
         deadline.check()
-        top = next((b for b in reversed(buckets) if b), None)
-        if top is None:
+        s = k
+        while s >= 0 and not buckets[s]:
+            s -= 1
+        if s < 0:
             return dict(zip(order, colors))
-        v = max(top)
+        v = max(buckets[s])
         c = 0
         # Take v's next allowed color above c, or undo the last placement and
         # resume that vertex above its old color.
-        while not (c := next((d for d in range(c + 1, min(k, max_used + 1) + 1)
-                              if allowed(v, d)), 0)):
+        while not (c := next_color(v, c, min(k, max_used + 1))):
             if not trail:
                 return None
-            v, c, max_used = trail.pop()
-            unplace(v, c)
-        place(v, c)
-        trail.append((v, c, max_used))
+            v, c, max_used, mask, saturated = trail.pop()
+            unplace(v, c, mask, saturated)
+        mask = seen[v]
+        trail.append((v, c, max_used, mask, place(v, c)))
         max_used = max(max_used, c)
 
 
