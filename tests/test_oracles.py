@@ -29,8 +29,8 @@ from injcolor import (
     verify_injective,
     verify_oriented_coloring,
 )
-from injcolor.cli import run_command
 from injcolor import oracles
+from injcolor.cli import run_command
 from injcolor.dimacs import emit_graph
 from injcolor.oracles import _conflict_adjacency, _Deadline, _solve_chromatic
 from .bruteforce import min_2dipath, min_chromatic, min_injective_colors, min_oriented
