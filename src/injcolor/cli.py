@@ -10,6 +10,7 @@ input, budget or construction errors, 2 verifier false.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Callable, Sequence
@@ -75,6 +76,7 @@ def _subcommand(sub, name: str, run: Callable, *, seed: bool = False) -> _CliPar
     return p
 
 
+@functools.cache  # one parser per process; handlers still look pipelines up per call
 def _build_parser() -> _CliParser:
     parser = _CliParser(prog="injcolor", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -125,18 +127,21 @@ def _read_graph(text: str, kind: type) -> UndirectedGraph | OrientedGraph:
     return graph
 
 
-def _read_coloring(path: str, kind: type, graph: UndirectedGraph | OrientedGraph
-                   ) -> EdgeColoring | VertexColoring:
+def _read_coloring(path: str, kind: type, graph: UndirectedGraph | OrientedGraph,
+                   verifier: Callable) -> tuple[EdgeColoring | VertexColoring, bool]:
     """The kind (EdgeColoring or VertexColoring) coloring in the JSON file at
-    path, refused unless it colors exactly the edges (of the underlying graph)
-    or the vertices of graph.  Errors name ids from 1, as the file does."""
-    with open(path, encoding="utf-8") as fh:
-        coloring = coloring_from_obj(json.load(fh))
+    path, which must color exactly graph's vertices or its (underlying) edges,
+    and verifier's verdict on it in that graph.  Errors name ids from 1."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            coloring = coloring_from_obj(json.load(fh))
+    except RecursionError:
+        raise ParseError("coloring JSON nests too deeply") from None
     edges = kind is EdgeColoring
     if not isinstance(coloring, kind):
         raise ParseError(f"this command needs {'an edge' if edges else 'a vertex'} coloring")
     if edges and isinstance(graph, OrientedGraph):
-        graph = graph.underlying()  # built after the parsed JSON is freed: a lower peak
+        graph = graph.underlying()  # built once, after the JSON is freed; freed on return
     extra = next((x for x in coloring.colors
                   if not (graph.has_edge(*x) if edges else x < graph.n)), None)
     if extra is not None:
@@ -148,7 +153,7 @@ def _read_coloring(path: str, kind: type, graph: UndirectedGraph | OrientedGraph
         missing = next(x for x in items if x not in coloring.colors)
         raise InvalidColoringError(f"{'edge' if edges else 'vertex'} {_one_based(missing)} "
                                    "has no color")
-    return coloring
+    return coloring, verifier(graph, coloring)
 
 
 def _one_based(item: int | tuple[int, int]) -> int | tuple[int, int]:
@@ -211,8 +216,8 @@ def _genus(args, read_stdin: Callable[[], str]) -> dict:
 
 def _oriented_from_inj(args, read_stdin: Callable[[], str]) -> dict:
     graph = _read_graph(read_stdin(), OrientedGraph)
-    edge_coloring = _read_coloring(args.coloring, EdgeColoring, graph)
-    if not verify_injective(graph.underlying(), edge_coloring):
+    edge_coloring, injective = _read_coloring(args.coloring, EdgeColoring, graph, verify_injective)
+    if not injective:
         raise InvalidColoringError("edge coloring is not injective")
     coloring = oriented_from_injective(graph, edge_coloring)
     valid = verify_oriented_coloring(graph, coloring)
@@ -228,10 +233,10 @@ def _verify(args, read_stdin: Callable[[], str]) -> dict:
     inj = args.kind == "inj"
     with open(args.graph, encoding="utf-8") as fh:
         graph = _read_graph(fh.read(), UndirectedGraph if inj else OrientedGraph)
-    coloring = _read_coloring(args.coloring, EdgeColoring if inj else VertexColoring, graph)
     verifier = {"inj": verify_injective, "oriented": verify_oriented_coloring,
                 "2dipath": verify_2dipath}[args.kind]
-    return {"kind": args.kind, "valid": verifier(graph, coloring)}
+    return {"kind": args.kind, "valid": _read_coloring(
+        args.coloring, EdgeColoring if inj else VertexColoring, graph, verifier)[1]}
 
 
 def _family(args, read_stdin: Callable[[], str]) -> dict:

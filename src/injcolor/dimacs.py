@@ -114,11 +114,11 @@ def coloring_from_obj(obj: dict) -> EdgeColoring | VertexColoring:
     width, shape = (3, "[u, v, color]") if kind == "edge" else (2, "[v, color]")
     # type() and not isinstance(): JSON true and false must not pass as 1 and 0.
     if not isinstance(assign, list) or not all(
-            isinstance(entry, list) and len(entry) == width
-            and all(type(x) is int and x >= 1 for x in entry) for entry in assign):
+            isinstance(entry, list) and len(entry) == width for entry in assign) or not all(
+            type(x) is int and x >= 1 for entry in assign for x in entry):
         raise ParseError(f"{kind} assign entries must be {shape}, integers >= 1")
-    if len({tuple(sorted(entry[:-1])) for entry in assign}) < len(assign):
+    coloring = (EdgeColoring({(u - 1, v - 1): c for u, v, c in assign}) if kind == "edge"
+                else VertexColoring({v - 1: c for v, c in assign}))
+    if len(coloring.colors) < len(assign):  # EdgeColoring keys an edge as (min, max)
         raise ParseError(f"coloring JSON lists the same {kind} twice")
-    if kind == "edge":
-        return EdgeColoring({(u - 1, v - 1): c for u, v, c in assign})
-    return VertexColoring({v - 1: c for v, c in assign})
+    return coloring

@@ -347,16 +347,15 @@ def verify_injective(G: UndirectedGraph, coloring: EdgeColoring) -> bool:
     """True iff every color class is an induced star forest.
 
     Equivalently, no two equal-colored edges are joined by a third edge.
-    Raises when the coloring is not total on E(G).  One per-vertex color
-    count (graphs.has_color_conflict) checks all classes at once in
-    O(m + sum over edges xy of min(deg x, deg y)) time, which is O(d*m) on a
-    d-degenerate graph.
+    Raises when the coloring misses an edge of G, named first, or colors a
+    non-edge.  One per-vertex color count (graphs.has_color_conflict) checks
+    all classes at once in O(m + sum over edges xy of min(deg x, deg y)) time,
+    which is O(d*m) on a d-degenerate graph.
     """
-    edge_list = G.edges()
-    for e in edge_list:
-        if e not in coloring.colors:
-            raise InvalidColoringError(f"edge {e} has no color")
-    if len(coloring.colors) != len(edge_list):
-        extra = set(coloring.colors) - set(edge_list)
+    extra = [e for e in coloring.colors if not G.has_edge(*e)]
+    if len(coloring.colors) - len(extra) < G.m:
+        missing = next(e for e in G.edges() if e not in coloring.colors)
+        raise InvalidColoringError(f"edge {missing} has no color")
+    if extra:
         raise InvalidColoringError(f"colored non-edges present, e.g. {sorted(extra)[:3]}")
     return not has_color_conflict(G, coloring.colors)

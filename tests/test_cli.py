@@ -126,6 +126,11 @@ _EDGE_COLORING = {"kind": "edge", "k": 1, "assign": [[1, 2, 1]]}
     (_EDGE, {"kind": "vertex", "k": 2, "assign": [[1, 0], [2, 1]]}, "integers >= 1"),
     (_EDGE, {"kind": "vertex", "k": 2, "assign": [[1, 1], [1, 2]]},
      "lists the same vertex twice"),
+    (_EDGE, {"kind": "edge", "k": 2, "assign": [[1, 2, 1], [1, 2, 2]]},
+     "lists the same edge twice"),
+    # Every entry's shape is checked before repeats are counted.
+    (_EDGE, {"kind": "edge", "k": 2, "assign": [[1, 2, 1], [2, 1, 2], [1, 2]]},
+     "must be [u, v, color]"),
 ])
 def test_malformed_input_exits_1_with_json_error(tmp_path, graph, coloring, message):
     gpath = tmp_path / "graph.gr"
@@ -360,6 +365,34 @@ def test_coloring_must_match_the_graph_in_one_based_ids(tmp_path, argv, kind, gr
     assert code == 1 and json.loads(out) == {"error": message}
 
 
+@pytest.mark.parametrize("argv", [_VERIFY, _FROM_INJ], ids=["verify-oriented", "from-inj"])
+def test_deeply_nested_coloring_json_exits_1_with_json_error(tmp_path, argv):
+    # json.load gives up on deep nesting with a RecursionError.
+    cpath, gpath = tmp_path / "coloring.json", tmp_path / "graph.gr"
+    cpath.write_text("[" * 5000 + "]" * 5000)
+    gpath.write_text(_ARC)
+    argv = [arg.format(kind="oriented", coloring=cpath, graph=gpath) for arg in argv]
+    code, out = run(argv, _ARC)
+    assert code == 1 and json.loads(out) == {"error": "coloring JSON nests too deeply"}
+
+
+def test_oriented_from_inj_builds_the_underlying_graph_once(tmp_path, monkeypatch):
+    G = random_degenerate_graph(40, 2, 3)
+    cpath = tmp_path / "inj.json"
+    cpath.write_text(json.dumps(coloring_to_obj(injective_color_degenerate(G, 0))))
+    builds = []
+    underlying = OrientedGraph.underlying
+
+    def counted(self):
+        builds.append(self)
+        return underlying(self)
+
+    monkeypatch.setattr(OrientedGraph, "underlying", counted)
+    code, out = run(["oriented-from-inj", "--coloring", str(cpath)],
+                    emit_graph(random_orientation(G, 4)))
+    assert code == 0 and json.loads(out)["valid"] and len(builds) == 1
+
+
 @pytest.mark.parametrize("argv, graph, message", [
     (["exact", "--param", "inj"], _ARC, "needs an undirected (p edge) graph"),
     (["exact", "--param", "chromatic"], _ARC, "needs an undirected (p edge) graph"),
@@ -498,6 +531,18 @@ def test_help_is_returned_not_printed(capsys, monkeypatch):
 def test_text_format():
     code, out = run(["exact", "--param", "inj", "--format", "text"], emit_graph(complete_graph(4)))
     assert code == 0 and "value: 6" in out
+
+
+def test_one_parser_serves_every_command_of_a_process():
+    # Flags given to one command must not linger as defaults for the next.
+    family = ["family", "--k", "5", "--r", "2"]
+    argvs = [family, family + ["--seed", "3"], family + ["--format", "text"],
+             family + ["--seed", "3", "--format", "text"]]
+    first = [run(argv) for argv in argvs]
+    assert len({out for _, out in first}) == len(argvs)
+    for argv, expected in [*zip(argvs, first), *zip(argvs[::-1], first[::-1])] * 2:
+        assert run(argv) == expected
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_unknown_command_is_input_error():

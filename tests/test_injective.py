@@ -364,6 +364,23 @@ def test_verify_injective_examples():
         verify_injective(path(3), EdgeColoring({(0, 1): 1, (1, 2): 2, (0, 2): 3}))
 
 
+def test_verify_injective_names_a_missing_edge_before_a_non_edge(monkeypatch):
+    # As many colored pairs as edges: (2, 3) is missing and the non-edge (0, 3) is colored.
+    with pytest.raises(InvalidColoringError, match=r"^edge \(2, 3\) has no color$"):
+        verify_injective(path(4), EdgeColoring({(0, 1): 1, (1, 2): 2, (0, 3): 3}))
+    # Coverage is a count over has_edge; the edge list is walked only to name a missing edge.
+    G = random_degenerate_graph(60, 3, 2)
+    coloring = injective_color_degenerate(G, 0)
+
+    def unused(self):
+        raise AssertionError("verify_injective listed the edges of a covered graph")
+
+    monkeypatch.setattr(UndirectedGraph, "edges", unused)
+    assert verify_injective(G, coloring)
+    with pytest.raises(InvalidColoringError, match="colored non-edges present"):
+        verify_injective(G, EdgeColoring({**coloring.colors, (0, 59): 1}))
+
+
 def test_verify_injective_agrees_with_direct_definition():
     rng = random.Random(2)
     for _ in range(60):
