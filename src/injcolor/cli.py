@@ -20,7 +20,7 @@ from .dimacs import (MAX_VERTICES, ParseError, coloring_from_obj, coloring_to_ob
                      parse_graph)
 from .errors import InjcolorError
 from .genus import injective_color_genus, oriented_color_genus, oriented_color_genus_via_2dipath
-from .graphs import EdgeColoring, OrientedGraph, UndirectedGraph, VertexColoring
+from .graphs import EdgeColoring, OrientedGraph, UndirectedGraph, VertexColoring, check_domain
 from .injective import (
     InvalidColoringError,
     injective_color_degenerate,
@@ -130,8 +130,8 @@ def _read_graph(text: str, kind: type) -> UndirectedGraph | OrientedGraph:
 def _read_coloring(path: str, kind: type, graph: UndirectedGraph | OrientedGraph,
                    verifier: Callable) -> tuple[EdgeColoring | VertexColoring, bool]:
     """The kind (EdgeColoring or VertexColoring) coloring in the JSON file at
-    path, which must color exactly graph's vertices or its (underlying) edges,
-    and verifier's verdict on it in that graph.  Errors name ids from 1."""
+    path and verifier's verdict on it in graph, or for edges its underlying
+    graph.  A domain refusal from verifier is raised again in ids from 1."""
     try:
         with open(path, encoding="utf-8") as fh:
             coloring = coloring_from_obj(json.load(fh))
@@ -142,18 +142,11 @@ def _read_coloring(path: str, kind: type, graph: UndirectedGraph | OrientedGraph
         raise ParseError(f"this command needs {'an edge' if edges else 'a vertex'} coloring")
     if edges and isinstance(graph, OrientedGraph):
         graph = graph.underlying()  # built once, after the JSON is freed; freed on return
-    extra = next((x for x in coloring.colors
-                  if not (graph.has_edge(*x) if edges else x < graph.n)), None)
-    if extra is not None:
-        others = "non-edges" if edges else "non-vertices"
-        raise InvalidColoringError(f"colored {others} present, e.g. {_one_based(extra)}")
-    # The ids are distinct and all in the graph, so only a short file misses one.
-    if len(coloring.colors) < (graph.m if edges else graph.n):
-        items = graph.edges() if edges else range(graph.n)
-        missing = next(x for x in items if x not in coloring.colors)
-        raise InvalidColoringError(f"{'edge' if edges else 'vertex'} {_one_based(missing)} "
-                                   "has no color")
-    return coloring, verifier(graph, coloring)
+    try:
+        return coloring, verifier(graph, coloring)
+    except InvalidColoringError:
+        check_domain(graph, coloring, _one_based)
+        raise
 
 
 def _one_based(item: int | tuple[int, int]) -> int | tuple[int, int]:

@@ -68,6 +68,8 @@ def random_genus_lowerbound(n: int, rng_seed: int = 0) -> OrientedGraph:
     """
     if n < 2 or n % 2:
         raise ValueError("needs even n >= 2")
+    if rng_seed < 0:  # numpy's generators take no negative seed
+        raise ValueError(f"seed {rng_seed} is negative; it must be 0 or more")
     p = edge_probability(n)
     rng = np.random.default_rng(rng_seed)
     # The narrowest type that holds every id keeps the arrays small, and up

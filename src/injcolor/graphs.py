@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Iterator, Mapping
+from itertools import starmap
+from typing import Callable, Hashable, Iterable, Iterator, Mapping
 
 import numpy as np
+
+from .errors import InvalidColoringError
 
 Edge = tuple[int, int]
 
@@ -253,6 +256,22 @@ class EdgeColoring:
 
     def __repr__(self) -> str:
         return f"EdgeColoring(k={self.k}, edges={len(self.colors)})"
+
+
+def check_domain(G: UndirectedGraph | OrientedGraph, coloring: EdgeColoring | VertexColoring,
+                 show: Callable = lambda item: item) -> None:
+    """Raise InvalidColoringError unless an EdgeColoring colors exactly E(G) or a
+    VertexColoring exactly V(G), naming a missing item (first in G's order, listed
+    only then) before a stray one (first in the coloring's), formatted by show."""
+    colors, edges = coloring.colors, isinstance(coloring, EdgeColoring)
+    ours = (lambda e: G.has_edge(*e)) if edges else (lambda v: 0 <= v < G.n)
+    inside = sum(starmap(G.has_edge, colors)) if edges else sum(map(ours, colors))
+    if inside < (G.m if edges else G.n):
+        missing = next(x for x in (G.edges() if edges else range(G.n)) if x not in colors)
+        raise InvalidColoringError(f"{'edge' if edges else 'vertex'} {show(missing)} has no color")
+    if inside < len(colors):
+        raise InvalidColoringError(f"colored non-{'edges' if edges else 'vertices'} present, "
+                                   f"e.g. {show(next(x for x in colors if not ours(x)))}")
 
 
 def canonical_color_ids(assign: Mapping[Hashable, Hashable]) -> dict:

@@ -22,6 +22,7 @@ from .graphs import (
     UndirectedGraph,
     VertexColoring,
     canonical_color_ids,
+    check_domain,
     degeneracy_order,
     greedy_color,
     has_color_conflict,
@@ -323,19 +324,14 @@ def injective_color_subdivision(G: UndirectedGraph, proper: VertexColoring) -> E
     (i, bit_i(v)).  Classes decompose along the bipartite graphs formed by
     each bit, which is what makes the result injective.
     """
-    for u, v in G.edges():
-        cu = proper.colors.get(u)
-        cv = proper.colors.get(v)
-        if cu is None or cv is None:
-            raise InvalidColoringError("coloring must cover every vertex")
-        if cu == cv:
-            raise InvalidColoringError(f"edge ({u}, {v}) is monochromatic")
+    check_domain(G, proper)
     codes = canonical_color_ids(proper.colors)
     assign: dict[Edge, tuple[int, int]] = {}
     for j, (u, v) in enumerate(G.edges()):
-        cu = codes[u] - 1
-        cv = codes[v] - 1
+        cu, cv = codes[u] - 1, codes[v] - 1
         diff = cu ^ cv
+        if not diff:
+            raise InvalidColoringError(f"edge ({u}, {v}) is monochromatic")
         i = (diff & -diff).bit_length() - 1
         w = G.n + j  # the midpoint subdivide gives the j-th edge
         assign[normalize_edge(u, w)] = (i, (cu >> i) & 1)
@@ -347,15 +343,9 @@ def verify_injective(G: UndirectedGraph, coloring: EdgeColoring) -> bool:
     """True iff every color class is an induced star forest.
 
     Equivalently, no two equal-colored edges are joined by a third edge.
-    Raises when the coloring misses an edge of G, named first, or colors a
-    non-edge.  One per-vertex color count (graphs.has_color_conflict) checks
-    all classes at once in O(m + sum over edges xy of min(deg x, deg y)) time,
-    which is O(d*m) on a d-degenerate graph.
+    check_domain refuses any other domain than E(G).  One per-vertex color
+    count (has_color_conflict) checks all classes at once in O(m + sum over
+    edges xy of min(deg x, deg y)) time, which is O(d*m) on a d-degenerate graph.
     """
-    extra = [e for e in coloring.colors if not G.has_edge(*e)]
-    if len(coloring.colors) - len(extra) < G.m:
-        missing = next(e for e in G.edges() if e not in coloring.colors)
-        raise InvalidColoringError(f"edge {missing} has no color")
-    if extra:
-        raise InvalidColoringError(f"colored non-edges present, e.g. {sorted(extra)[:3]}")
+    check_domain(G, coloring)
     return not has_color_conflict(G, coloring.colors)

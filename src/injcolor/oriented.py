@@ -24,6 +24,7 @@ from .graphs import (
     VertexColoring,
     VertexOrdering,
     canonical_color_ids,
+    check_domain,
     degeneracy_order,
     greedy_color,
     two_dipath_constraint_graph,
@@ -276,9 +277,10 @@ def homomorphism_to_full(
     the smallest-id vertex of its psi-part whose arc directions toward its
     earlier neighbors, those already placed in the mapping, match.  Fullness
     of H guarantees such a witness exists.  That psi is a 2-dipath coloring
-    is not checked here (only its color range and the ordering are); the
-    pipeline verifies the final coloring in report.checks.
+    is not checked here (only its domain, color range and the ordering are);
+    the pipeline verifies the final coloring in report.checks.
     """
+    check_domain(D, psi)
     if any(not 1 <= c <= H.k for c in psi.colors.values()):
         raise InvalidColoringError(f"psi uses colors outside 1..{H.k}")
     if sorted(ordering.order) != list(range(D.n)):
@@ -319,21 +321,19 @@ def coloring_from_homomorphism(mapping: dict[int, int]) -> VertexColoring:
 
 
 def verify_homomorphism(D: OrientedGraph, target, mapping: dict[int, int]) -> bool:
-    """True iff every arc of D maps to an arc of the target."""
-    for u, v in D.arcs():
-        if u not in mapping or v not in mapping:
-            raise ValueError("mapping is not total on the vertex set")
-        if not target.has_arc(mapping[u], mapping[v]):
-            return False
-    return True
+    """True iff every arc of D maps to an arc of the target.
+
+    Raises ValueError unless every vertex of D is mapped.
+    """
+    if not all(v in mapping for v in range(D.n)):
+        raise ValueError("mapping is not total on the vertex set")
+    return all(target.has_arc(mapping[u], mapping[v]) for u, v in D.arcs())
 
 
 def verify_oriented_coloring(D: OrientedGraph, coloring: VertexColoring) -> bool:
     """True iff the coloring is proper and no ordered color pair occurs on
-    arcs in both directions."""
-    for v in range(D.n):
-        if v not in coloring.colors:
-            raise InvalidColoringError(f"vertex {v} has no color")
+    arcs in both directions; check_domain refuses any other domain than V(D)."""
+    check_domain(D, coloring)
     pairs = set()
     for u, v in D.arcs():
         a, b = coloring[u], coloring[v]
@@ -344,8 +344,6 @@ def verify_oriented_coloring(D: OrientedGraph, coloring: VertexColoring) -> bool
 
 
 def verify_2dipath(D: OrientedGraph, coloring: VertexColoring) -> bool:
-    """True iff endpoints of every arc and every directed 2-path differ."""
-    for v in range(D.n):
-        if v not in coloring.colors:
-            raise InvalidColoringError(f"vertex {v} has no color")
+    """True iff the ends of every arc and directed 2-path differ; the domain must be V(D)."""
+    check_domain(D, coloring)
     return all(coloring[u] != coloring[v] for u, v in two_dipath_constraint_graph(D).edges())

@@ -351,9 +351,10 @@ _FROM_INJ = ["oriented-from-inj", "--coloring", "{coloring}"]
     (_FROM_INJ, None, _DIPATH, [[1, 2, 1]], "edge (2, 3) has no color"),
     (_FROM_INJ, None, _DIPATH, [[1, 2, 1], [2, 3, 2], [1, 3, 3]],
      "colored non-edges present, e.g. (1, 3)"),
+    (_VERIFY, "inj", _EDGE_PATH, [[1, 3, 2], [1, 2, 1]], "edge (2, 3) has no color"),
 ], ids=["oriented-extra-vertex", "2dipath-extra-vertex", "oriented-uncolored",
         "2dipath-uncolored", "inj-uncolored", "inj-non-edge", "from-inj-uncolored",
-        "from-inj-non-edge"])
+        "from-inj-non-edge", "inj-uncolored-and-non-edge"])
 def test_coloring_must_match_the_graph_in_one_based_ids(tmp_path, argv, kind, graph, assign,
                                                        message):
     cpath, gpath = tmp_path / "coloring.json", tmp_path / "graph.gr"
@@ -363,6 +364,23 @@ def test_coloring_must_match_the_graph_in_one_based_ids(tmp_path, argv, kind, gr
     argv = [arg.format(kind=kind, coloring=cpath, graph=gpath) for arg in argv]
     code, out = run(argv, graph)
     assert code == 1 and json.loads(out) == {"error": message}
+
+
+def test_verify_scans_a_valid_coloring_file_once(tmp_path, monkeypatch):
+    G = random_degenerate_graph(40, 2, 3)
+    cpath, gpath = tmp_path / "inj.json", tmp_path / "graph.gr"
+    cpath.write_text(json.dumps(coloring_to_obj(injective_color_degenerate(G, 0))))
+    gpath.write_text(emit_graph(G))
+    calls = []
+    has_edge = UndirectedGraph.has_edge
+
+    def counted(self, u, v):
+        calls.append((u, v))
+        return has_edge(self, u, v)
+
+    monkeypatch.setattr(UndirectedGraph, "has_edge", counted)
+    code, out = run(["verify", "--kind", "inj", str(cpath), str(gpath)])
+    assert code == 0 and json.loads(out)["valid"] and len(calls) == G.m
 
 
 @pytest.mark.parametrize("argv", [_VERIFY, _FROM_INJ], ids=["verify-oriented", "from-inj"])
@@ -442,6 +460,11 @@ def test_gen_subcommands():
     assert (G.n, G.m) == (13, 23)
     code, out = run(["gen", "--family", "cycle"])
     assert code == 1  # missing --n
+
+
+def test_gen_random_genus_lb_refuses_a_negative_seed():
+    code, out = run(["gen", "--family", "random-genus-lb", "--n", "30", "--seed", "-1"])
+    assert code == 1 and json.loads(out) == {"error": "seed -1 is negative; it must be 0 or more"}
 
 
 def test_family_and_full_graph_subcommands():

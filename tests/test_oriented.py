@@ -304,6 +304,8 @@ def test_homomorphism_rejects_bad_inputs():
     assert verify_homomorphism(D, H, h)
     with pytest.raises(InvalidColoringError):
         homomorphism_to_full(D, ordering, VertexColoring({0: 1, 1: 2, 2: 7}), H)
+    with pytest.raises(InvalidColoringError, match="^vertex 2 has no color$"):
+        homomorphism_to_full(D, ordering, VertexColoring({0: 1, 1: 2}), H)
     with pytest.raises(ValueError):
         homomorphism_to_full(D, VertexOrdering((0, 1, 2), 5), VertexColoring({0: 1, 1: 2, 2: 3}), H)
 
@@ -366,6 +368,19 @@ def test_verify_homomorphism_examples():
     assert not verify_homomorphism(D, rev, {0: 0, 1: 1, 2: 2})
     with pytest.raises(ValueError):
         verify_homomorphism(D, D, {0: 0})
+    # vertex 2 lies on no arc and is still required
+    with pytest.raises(ValueError, match="^mapping is not total on the vertex set$"):
+        verify_homomorphism(OrientedGraph(3, [(0, 1)]), D, {0: 0, 1: 1})
+
+
+@pytest.mark.parametrize("verifier", [verify_oriented_coloring, verify_2dipath])
+def test_vertex_verifiers_refuse_a_stray_vertex(verifier):
+    D = OrientedGraph(3, [(0, 1), (1, 2)])
+    with pytest.raises(InvalidColoringError, match="^colored non-vertices present, e.g. 9$"):
+        verifier(D, VertexColoring({0: 1, 1: 2, 2: 3, 9: 4}))
+    # a missing vertex is named before a stray one
+    with pytest.raises(InvalidColoringError, match="^vertex 2 has no color$"):
+        verifier(D, VertexColoring({0: 1, 1: 2, 9: 4}))
 
 
 def test_verify_oriented_coloring_examples():
