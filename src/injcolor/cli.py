@@ -184,10 +184,11 @@ def _exact(args, read_stdin: Callable[[], str]) -> dict:
 
 def _inj_degenerate(args, read_stdin: Callable[[], str]) -> dict:
     graph = _read_graph(read_stdin(), UndirectedGraph)
-    coloring = injective_color_degenerate(graph, args.seed)
+    report = {"seed": args.seed}
+    coloring = injective_color_degenerate(graph, args.seed, report)
     valid = verify_injective(graph, coloring)
     return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
-            "report": {"seed": args.seed}}
+            "report": report}
 
 
 def _genus(args, read_stdin: Callable[[], str]) -> dict:

@@ -7,9 +7,11 @@ so the pipelines certify validity through the verifiers and report raw
 counts instead of asserting asymptotic bounds.
 
 Each pipeline splits the degeneracy order into a prefix V1 and the rest V2.
-The injective one gives each edge inside V1 a fresh color and colors the arcs
-leaving V2 in one class step; the oriented ones share a front, which strips
-the arcs inside V1, and a back, which gives V1 unique colors and reports.
+The injective one gives each edge inside V1 a fresh color.  It and
+oriented_color_genus color the arcs leaving V2 with the class step
+injective.color_greedy_classes, whose fallback here draws a separating
+family.  The oriented ones share a front, which strips the arcs inside V1,
+and a back, which gives V1 unique colors and reports.
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .graphs import (
     greedy_color,
     orient_by_ordering,
 )
-from .hypergraphs import neighborhood_hypergraph, peel_color_clique_graph
 from .injective import color_arcs_deterministic, color_greedy_classes, verify_injective
 from .oriented import (
     add_unique_colors,
@@ -41,7 +42,7 @@ from .oriented import (
     verify_oriented_coloring,
 )
 from .rng import derive_seed
-from .separating import build_separating_family
+from .separating import build_separating_family, family_size_bound
 
 ORIENTED_BOUND_CONSTANT = 2**20
 
@@ -92,34 +93,27 @@ def _genus_ordering(G: UndirectedGraph, genus: int, rng_seed: int) -> tuple[Vert
 
 def _color_classes(D: OrientedGraph, v2: tuple[int, ...], proper: VertexColoring, genus: int,
                    rng_seed: int, class_cap: int, r: int = 0
-                   ) -> tuple[EdgeColoring, dict[str, int], dict[str, int]]:
-    """Color the arcs leaving v2, one greedy class X at a time, after refusing
-    a vertex whose class exceeds class_cap or whose out-degree reaches it.
-
-    Each class peel-colors the clique graph of its out-neighborhoods, then
-    separates those colors with an order-r family; r defaults to the largest
-    out-degree in X, at least 2.  Returns the coloring and, per class, its
-    color count and its peel color count.
-    """
+                   ) -> tuple[EdgeColoring, dict[str, int], dict[str, dict]]:
+    """color_greedy_classes on the arcs leaving v2 unless some vertex's class
+    exceeds class_cap or its out-degree reaches it.  The fallback draws a
+    separating family of order r, by default the class's out-degree, >= 2."""
     for v in v2:
         if proper[v] > class_cap or D.out_degree(v) >= class_cap:
             raise DegeneracyExceedsGenusError(
                 f"vertex {v} needs color {proper[v]} with out-degree {D.out_degree(v)}, "
                 f"beyond the caps ({class_cap}, {class_cap - 1}) for genus {genus}"
             )
-    peel_colors: dict[str, int] = {}
 
-    def color_class(cls: int, X: list[int]) -> EdgeColoring:
-        hyperedges, heads = neighborhood_hypergraph(D, X)
-        dense = peel_color_clique_graph(hyperedges, genus=genus)
-        hcol = VertexColoring({heads[i]: c for i, c in dense.colors.items()})
-        peel_colors[f"class_{cls}"] = hcol.k
+    def rounds(d: int, k: int) -> int:
+        order = r or max(2, d)
+        return family_size_bound(max(k, order), order)
+
+    def drawn_family(cls: int, X: list[int], hcol: VertexColoring) -> EdgeColoring:
         order = r or max(2, max(D.out_degree(x) for x in X))
         family = build_separating_family(max(hcol.k, order), order, derive_seed(rng_seed, cls))
         return color_arcs_deterministic(D, X, hcol, family)
 
-    classes, phase_colors = color_greedy_classes(D, v2, proper, color_class)
-    return classes, phase_colors, peel_colors
+    return color_greedy_classes(D, v2, proper, ("drawn_family", rounds, drawn_family), genus)
 
 
 def injective_color_genus(
@@ -132,15 +126,15 @@ def injective_color_genus(
     keeps that phase near 3g colors.  Every later vertex has at most
     floor(ln g) + 5 earlier neighbors, so at most floor(ln g) + 6 greedy
     classes partition V2, and each class's outgoing arcs are colored
-    deterministically through a clique-graph peel coloring and a separating
-    family.
+    deterministically through a clique-graph peel coloring and singleton
+    rounds or a drawn separating family.
     """
     ordering, stats = _genus_ordering(G, genus, rng_seed)
     log_g = math.log(genus)
     split = math.ceil(6 * genus / log_g) - 1
     v1, v2 = set(ordering.order[:split]), ordering.order[split:]
     class_cap = math.floor(log_g) + 6
-    classes, phase_colors, peel_colors = _color_classes(
+    classes, phase_colors, class_stats = _color_classes(
         orient_by_ordering(G, ordering), v2, greedy_color(G, ordering), genus, rng_seed,
         class_cap)
 
@@ -155,7 +149,7 @@ def injective_color_genus(
         checks={"injective_valid": verify_injective(G, coloring),
                 "v1_edge_bound_ok": 2 * len(inner) < edge_bound},
         stats=dict(stats, class_cap=class_cap, v1_edges=len(inner), v1_edge_bound=edge_bound,
-                   peel_colors=peel_colors),
+                   **class_stats),
     )
 
 
@@ -199,12 +193,12 @@ def oriented_color_genus(
     """
     G, ordering, stats, v1, v2, stripped = _strip_prefix(D, genus, rng_seed)
     aux = orient_by_ordering(stripped.underlying(), ordering)
-    inj, phase_colors, _ = _color_classes(aux, v2, greedy_color(G, ordering), genus, rng_seed,
-                                          7, r=6)
+    inj, phase_colors, class_stats = _color_classes(aux, v2, greedy_color(G, ordering), genus,
+                                                    rng_seed, 7, r=6)
     base = oriented_from_injective(stripped, inj)
     # At most 6g + 4^k colors, k being the injective count.
     return _finish_oriented(D, v1, v2, base, dict(phase_colors, injective_total=inj.k),
-                            dict(stats, injective_colors=inj.k),
+                            dict(stats, injective_colors=inj.k, **class_stats),
                             "count_within_6g_plus_4_pow_k", 6 * genus + 4**inj.k + 1)
 
 

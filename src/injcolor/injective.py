@@ -3,9 +3,11 @@
 Two procedures color the arcs leaving an independent set so that every color
 class is an induced star forest: a randomized one driven by repeated vertex
 sampling, and a deterministic one driven by a separating family over the
-colors of a clique-graph coloring.  On top of those sit the full coloring
-pipeline for degenerate graphs, the one-subdivision construction, and the
-validity verifier.
+colors of a clique-graph coloring.  The class step of all three injective
+pipelines, color_greedy_classes, gives the deterministic one singleton
+rounds when they are few enough and else runs the pipeline's own fallback.
+Also here: the degenerate-graph pipeline, the one-subdivision construction,
+and the validity verifier.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .graphs import (
     normalize_edge,
     orient_by_ordering,
 )
+from .hypergraphs import neighborhood_hypergraph, peel_color_clique_graph
 from .rng import derive_seed
 from .separating import SeparatingFamily
 
@@ -38,7 +41,8 @@ ROUND_LIMIT_FACTOR = 64
 class RoundLimitExceededError(RuntimeError, InjcolorError):
     """The sampling rounds ran out before every arc was colored.
 
-    Astronomically unlikely for any seed; callers retry with a new one.
+    Astronomically unlikely for any seed.  Nothing retries: the CLI exits 1,
+    and a run with another seed draws new rounds.
     """
 
 
@@ -108,6 +112,11 @@ def _shade_rounds(D: OrientedGraph, round_of: dict[Edge, int]) -> EdgeColoring:
     return EdgeColoring(canonical_color_ids(colored))
 
 
+def _nominal_rounds(d: int, max_degree: int) -> int:
+    """ceil(4*e*d*ln(max_degree)), at least 1: color_arcs_randomized's round count."""
+    return max(1, math.ceil(4 * math.e * d * math.log(max_degree))) if max_degree > 1 else 1
+
+
 def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0) -> EdgeColoring:
     """Color all arcs leaving the independent set X into induced star forests.
 
@@ -126,8 +135,7 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     if not targets:
         return EdgeColoring({})
     d = max(D.out_degree(x) for x in members)
-    max_degree = max(D.out_degree(v) + len(D.in_neighbors(v)) for v in range(D.n))
-    nominal = max(1, math.ceil(4 * math.e * d * math.log(max_degree))) if max_degree > 1 else 1
+    nominal = _nominal_rounds(d, max(D.out_degree(v) + len(D.in_neighbors(v)) for v in range(D.n)))
     limit = ROUND_LIMIT_FACTOR * nominal
 
     rng = random.Random(rng_seed)
@@ -208,15 +216,18 @@ def color_arcs_deterministic(
     return _shade_rounds(D, round_of)
 
 
-def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeColoring:
+def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0,
+                               report: dict | None = None) -> EdgeColoring:
     """Injective edge coloring of a degenerate graph.
 
-    Orders the vertices by degeneracy, orients edges toward earlier vertices,
-    and colors the arcs of each greedy color class with color_arcs_randomized
-    under disjoint color namespaces.  With degeneracy d and maximum degree
-    at least 3 this uses at most ceil(4*e*d*ln(max_degree))*(2d+1)*(d+1)
-    colors.  Graphs of maximum degree at most 2 (disjoint paths and cycles)
-    get an optimal coloring in closed form (_color_paths_and_cycles).
+    Orients edges toward earlier vertices of the degeneracy order and colors
+    each greedy class with color_greedy_classes, whose fallback is
+    color_arcs_randomized in ceil(4*e*d_X*ln(max_degree)) rounds, d_X the
+    class's largest out-degree.  Either route takes at most that many rounds
+    of at most 2d+1 shades, so degeneracy d gives at most
+    ceil(4*e*d*ln(max_degree))*(2d+1)*(d+1) colors.  Maximum degree at most
+    2 (paths and cycles) gets an optimal closed form (_color_paths_and_cycles).
+    A report dict, if given, receives the class step's per-class stats.
     """
     if G.n == 0:
         raise ValueError("graph must be nonempty")
@@ -224,10 +235,13 @@ def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0) -> EdgeCol
         return _color_paths_and_cycles(G)
     ordering = degeneracy_order(G)
     D = orient_by_ordering(G, ordering)
-    coloring, _ = color_greedy_classes(
+    coloring, phase_colors, stats = color_greedy_classes(
         D, range(G.n), greedy_color(G, ordering),
-        lambda cls, X: color_arcs_randomized(D, X, derive_seed(rng_seed, cls)),
+        ("randomized", lambda d, k: _nominal_rounds(d, G.max_degree),
+         lambda cls, X, hcol: color_arcs_randomized(D, X, derive_seed(rng_seed, cls))),
     )
+    if report is not None:
+        report.update(stats, phase_colors=phase_colors)
     return coloring
 
 
@@ -273,33 +287,48 @@ def color_greedy_classes(
     D: OrientedGraph,
     vertices: Sequence[int],
     proper: VertexColoring,
-    color_class: Callable[[int, list[int]], EdgeColoring],
-) -> tuple[EdgeColoring, dict[str, int]]:
-    """Color the arcs leaving the given vertices, one greedy class at a time.
+    fallback: tuple[str, Callable[[int, int], int], Callable[..., EdgeColoring]],
+    genus: int | None = None,
+) -> tuple[EdgeColoring, dict[str, int], dict[str, dict]]:
+    """Color the arcs leaving the given vertices, one greedy class X at a time.
 
-    color_class(cls, X) colors the arcs leaving class X (members in the given
-    order); its colors are shifted past those of earlier classes, so classes
-    never share a color.  Classes without out-arcs are skipped.  Returns the
-    merged coloring and each class's color count under "class_<cls>".
+    X's heads are peel-colored (warning against an asserted genus), so each
+    out-neighborhood is rainbow in k colors hcol.  The pipeline's fallback
+    (route, rounds, color) colors X by color(cls, X, hcol) in rounds(d, k)
+    rounds, d the largest out-degree in X; when 2k is at most that, the
+    singletons {1}, ..., {k} color X instead: arc (x, a) is x's only arc in
+    round hcol[a].  Returns the coloring, classes sharing no color, and per
+    class with out-arcs ("class_<cls>") its colors, peel_colors and class_routes.
     """
     classes: dict[int, list[int]] = {}
     for v in vertices:
         classes.setdefault(proper[v], []).append(v)
     merged: dict[Edge, int] = {}
     phase_colors: dict[str, int] = {}
+    stats: dict[str, dict] = {"peel_colors": {}, "class_routes": {}}
     offset = 0
     for cls in sorted(classes):
         X = classes[cls]
-        if not any(D.out_degree(x) for x in X):
+        d = max(D.out_degree(x) for x in X)
+        if not d:
             continue
-        part = color_class(cls, X)
-        for e, c in part.colors.items():
-            merged[e] = offset + c
+        hyperedges, heads = neighborhood_hypergraph(D, X)
+        dense = peel_color_clique_graph(hyperedges, genus=genus)
+        k, hcol = dense.k, VertexColoring({heads[i]: c for i, c in dense.colors.items()})
+        route, rounds, color = fallback
+        if 2 * k <= rounds(d, k):
+            route = "singletons"
+            singletons = SeparatingFamily(k, k, tuple(frozenset((c,)) for c in range(1, k + 1)))
+            part = color_arcs_deterministic(D, X, hcol, singletons)
+        else:
+            part = color(cls, X, hcol)
+        merged.update((e, offset + c) for e, c in part.colors.items())
         offset += part.k
-        phase_colors[f"class_{cls}"] = part.k
+        key = f"class_{cls}"
+        phase_colors[key], stats["peel_colors"][key], stats["class_routes"][key] = part.k, k, route
     if len(merged) != sum(D.out_degree(v) for v in vertices):
         raise RuntimeError("internal error: some edge was never assigned a color")
-    return EdgeColoring(merged), phase_colors
+    return EdgeColoring(merged), phase_colors, stats
 
 
 def subdivide(G: UndirectedGraph) -> UndirectedGraph:

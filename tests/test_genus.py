@@ -8,6 +8,7 @@ from injcolor import (
     complete_graph,
     degeneracy_order,
     exact_injective_index,
+    family_size_bound,
     genus_of_complete,
     grid_graph,
     heawood_degeneracy_bound,
@@ -16,6 +17,7 @@ from injcolor import (
     oriented_color_genus_via_2dipath,
     random_degenerate_graph,
     random_orientation,
+    subdivide,
     verify_injective,
     verify_oriented_coloring,
 )
@@ -49,6 +51,24 @@ def test_injective_genus_planar_grid():
     assert report.checks["v1_edge_bound_ok"]
     assert verify_injective(G, coloring)
     assert report.v1_size + report.v2_size == 25
+
+
+@pytest.mark.parametrize("h, k, route", [(16, 12, "singletons"), (20, 16, "drawn_family")])
+def test_genus_class_routes_on_subdivided_cliques(h, k, route):
+    """The midpoints' class of subdivide(K_h) has out-degree 2, so its
+    fallback family has order 2: singleton rounds need 2k <= family_size_bound(k, 2),
+    which holds at k = 12 (24 <= 28) and fails at k = 16 (32 > 31)."""
+    S = subdivide(complete_graph(h))
+    coloring, report = injective_color_genus(S, 2, 0)
+    assert report.checks["injective_valid"] and verify_injective(S, coloring)
+    peel, routes = report.stats["peel_colors"], report.stats["class_routes"]
+    tails = max(peel, key=peel.get)
+    assert (peel[tails], routes[tails]) == (k, route)
+    assert (2 * k <= family_size_bound(k, 2)) == (route == "singletons")
+    assert set(routes) == set(report.phase_colors) - {"v1_fresh"}
+    _, oriented = oriented_color_genus(random_orientation(S, 1), 2, 0)
+    assert oriented.checks["oriented_valid"]
+    assert set(oriented.stats["class_routes"].values()) <= {"singletons", "drawn_family"}
 
 
 def test_injective_genus_rejects_small_g():

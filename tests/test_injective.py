@@ -303,6 +303,28 @@ def test_arc_colorers_color_every_greedy_class_injectively(case):
             )
 
 
+@pytest.mark.parametrize("h, tails_route", [(32, "singletons"), (48, "randomized")])
+def test_degenerate_class_routes_on_subdivided_cliques(h, tails_route):
+    """Each midpoint of subdivide(K_h) points at its two ends, so the
+    midpoints' class peel-colors nearly all h ends.  Twice that count is at
+    most R = ceil(4e * 2 * ln(h - 1)) rounds at h = 32 (60 <= 75), so every
+    class takes singleton rounds; at h = 48 it is 92 > 84, and
+    color_arcs_randomized colors that class within the same count bound."""
+    S = subdivide(complete_graph(h))
+    report = {}
+    coloring = injective_color_degenerate(S, 1, report)
+    assert verify_injective(S, coloring)
+    d = degeneracy_order(S).d
+    nominal = math.ceil(4 * math.e * d * math.log(S.max_degree))
+    assert d == 2 and coloring.k <= nominal * (2 * d + 1) * (d + 1)
+    peel = report["peel_colors"]
+    tails = max(peel, key=peel.get)
+    assert (2 * peel[tails] <= nominal) == (tails_route == "singletons")
+    assert report["class_routes"] == {
+        cls: tails_route if cls == tails else "singletons" for cls in peel}
+    assert sum(report["phase_colors"].values()) == coloring.k
+
+
 def test_degenerate_pipeline_determinism():
     G = random_degenerate_graph(60, 3, 7)
     assert injective_color_degenerate(G, 9) == injective_color_degenerate(G, 9)

@@ -39,6 +39,12 @@ def test_verify_examples():
     assert not verify_separating_family(no)
     empty = SeparatingFamily(3, 2, ())
     assert not verify_separating_family(empty)
+    # The singletons {1}, ..., {k} separate at every order r <= k, which is
+    # why the class step uses them without a draw or this check.
+    for k in range(2, 7):
+        singletons = tuple(frozenset({c}) for c in range(1, k + 1))
+        assert all(verify_separating_family(SeparatingFamily(k, r, singletons))
+                   for r in range(2, k + 1))
 
 
 def test_shorter_tuples_also_separated():
