@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import json
 import sys
 from typing import Callable, Sequence
 
 from . import generators
-from .dimacs import (MAX_VERTICES, ParseError, coloring_from_obj, coloring_to_obj, emit_graph,
-                     parse_graph)
+from .dimacs import (MAX_VERTICES, ParseError, coloring_from_obj, coloring_to_json,
+                     coloring_to_obj, emit_graph, parse_graph)
 from .errors import InjcolorError
 from .genus import injective_color_genus, oriented_color_genus, oriented_color_genus_via_2dipath
 from .graphs import EdgeColoring, OrientedGraph, UndirectedGraph, VertexColoring, check_domain
@@ -153,9 +154,24 @@ def _one_based(item: int | tuple[int, int]) -> int | tuple[int, int]:
     return item + 1 if isinstance(item, int) else (item[0] + 1, item[1] + 1)
 
 
+# The line start of a report's top-level "coloring" key in indent=2 JSON; a
+# key deeper down has a wider indent, and strings hold no raw newline.
+_COLORING_KEY = '\n  "coloring": '
+
+
 def _render(obj: dict, fmt: str) -> str:
+    """A report as json.dumps(obj, sort_keys=True, indent=2) plus a newline,
+    or as key: value lines; a coloring object under "coloring" is written as
+    coloring_to_obj's dict."""
+    coloring = obj.get("coloring")
     if fmt == "json":
-        return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        if coloring is None:
+            return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+        head, _, tail = json.dumps(dict(obj, coloring=None), sort_keys=True,
+                                   indent=2).partition(_COLORING_KEY + "null")
+        return "".join((head, _COLORING_KEY, coloring_to_json(coloring), tail, "\n"))
+    if coloring is not None:
+        obj = dict(obj, coloring=coloring_to_obj(coloring))
     lines = []
 
     def flat(prefix: str, value) -> None:
@@ -187,8 +203,7 @@ def _inj_degenerate(args, read_stdin: Callable[[], str]) -> dict:
     report = {"seed": args.seed}
     coloring = injective_color_degenerate(graph, args.seed, report)
     valid = verify_injective(graph, coloring)
-    return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
-            "report": report}
+    return {"coloring": coloring, "colors": coloring.k, "valid": valid, "report": report}
 
 
 def _genus(args, read_stdin: Callable[[], str]) -> dict:
@@ -204,7 +219,7 @@ def _genus(args, read_stdin: Callable[[], str]) -> dict:
             coloring, report = oriented_color_genus_via_2dipath(
                 graph, args.g, args.seed, allow_uncertified_full=args.unverified_full)
         valid = report.checks["oriented_valid"]
-    return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
+    return {"coloring": coloring, "colors": coloring.k, "valid": valid,
             "report": report.to_dict()}
 
 
@@ -215,7 +230,7 @@ def _oriented_from_inj(args, read_stdin: Callable[[], str]) -> dict:
         raise InvalidColoringError("edge coloring is not injective")
     coloring = oriented_from_injective(graph, edge_coloring)
     valid = verify_oriented_coloring(graph, coloring)
-    return {"coloring": coloring_to_obj(coloring), "colors": coloring.k, "valid": valid,
+    return {"coloring": coloring, "colors": coloring.k, "valid": valid,
             "report": {"injective_colors": edge_coloring.k}}
 
 
@@ -276,29 +291,43 @@ def _generate(args, read_stdin: Callable[[], str]) -> str:
         f"c random-genus-lb n={args.n} seed={args.seed} edges={graph.m} "
         f"p={p!r} target_pn2={p * args.n * args.n!r}\n"
     )
-    return header + emit_graph(graph)
+    return emit_graph(graph, header)
 
 
 def run_command(
     argv: Sequence[str],
     read_stdin: Callable[[], str] = lambda: sys.stdin.read(),
 ) -> tuple[int, str]:
-    """Execute one subcommand; returns (exit code, stdout text)."""
-    fmt = "json"
+    """Execute one subcommand; returns (exit code, stdout text).
+
+    The cyclic garbage collector is paused while the command runs and left
+    as the caller had it on every exit.  A command builds adjacency sets and
+    maps by the hundred thousand, which each full collection would rescan;
+    the library's data hold no reference cycles, so reference counting still
+    frees them, and the few small cycles of json's encoder go in the first
+    collection after the command.
+    """
+    collecting = gc.isenabled()
+    gc.disable()
     try:
-        args = _build_parser().parse_args(list(argv))
-        fmt = args.format
-        result = args.run(args, read_stdin)
-    except _HelpRequested as usage:
-        return EXIT_OK, str(usage)
-    # ValueError covers ParseError, InvalidColoringError and the genus
-    # refusals; InjcolorError covers budgets and failed constructions.
-    except (InjcolorError, ValueError, OSError) as exc:
-        return EXIT_INPUT_ERROR, _render({"error": str(exc)}, fmt)
-    if isinstance(result, str):
-        return EXIT_OK, result
-    # A verifier's false verdict is the one report that exits 2.
-    return (EXIT_INVALID if result.get("valid") is False else EXIT_OK), _render(result, fmt)
+        fmt = "json"
+        try:
+            args = _build_parser().parse_args(list(argv))
+            fmt = args.format
+            result = args.run(args, read_stdin)
+        except _HelpRequested as usage:
+            return EXIT_OK, str(usage)
+        # ValueError covers ParseError, InvalidColoringError and the genus
+        # refusals; InjcolorError covers budgets and failed constructions.
+        except (InjcolorError, ValueError, OSError) as exc:
+            return EXIT_INPUT_ERROR, _render({"error": str(exc)}, fmt)
+        if isinstance(result, str):
+            return EXIT_OK, result
+        # A verifier's false verdict is the one report that exits 2.
+        return (EXIT_INVALID if result.get("valid") is False else EXIT_OK), _render(result, fmt)
+    finally:
+        if collecting:
+            gc.enable()
 
 
 def main() -> None:

@@ -78,21 +78,24 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
     return graph
 
 
-def emit_graph(graph: UndirectedGraph | OrientedGraph) -> str:
-    """The problem line, then the arcs (or the edges as (min, max) pairs) in
-    lexicographic order; each vertex's lines are one join over id strings."""
+def emit_graph(graph: UndirectedGraph | OrientedGraph, header: str = "") -> str:
+    """header (whole lines, each ending in a newline), the problem line, then
+    the arcs (or the edges as (min, max) pairs) in lexicographic order; each
+    vertex's lines are one join over id strings, and one more join makes the
+    text, final newline included, without a further copy of it."""
     if isinstance(graph, OrientedGraph):
         kind, tag, rows = "arc", "a", graph._rows()
     else:
         kind, tag = "edge", "e"
         rows = (sorted(v for v in graph.neighbors(u) if v > u) for u in range(graph.n))
     ids = [str(v) for v in range(1, graph.n + 1)]
-    blocks = [f"p {kind} {graph.n} {graph.m}"]
+    blocks = [f"{header}p {kind} {graph.n} {graph.m}"]
     for u, heads in enumerate(rows):
         if heads:
             prefix = f"{tag} {ids[u]} "
             blocks.append(prefix + ("\n" + prefix).join([ids[v] for v in heads]))
-    return "\n".join(blocks) + "\n"
+    blocks.append("")  # the join ends the text with its newline
+    return "\n".join(blocks)
 
 
 def coloring_to_obj(coloring: EdgeColoring | VertexColoring) -> dict:
@@ -101,6 +104,23 @@ def coloring_to_obj(coloring: EdgeColoring | VertexColoring) -> dict:
         return {"kind": "edge", "k": coloring.k, "assign": assign}
     assign = [[v + 1, c] for v, c in sorted(coloring.colors.items())]
     return {"kind": "vertex", "k": coloring.k, "assign": assign}
+
+
+def coloring_to_json(coloring: EdgeColoring | VertexColoring) -> str:
+    """json.dumps(coloring_to_obj(coloring), sort_keys=True, indent=2) as it
+    stands one level deep in a document, as the value of a top-level key:
+    every line after the first indented two more spaces.  One f-string per
+    assign entry, where indent would select json's pure-Python encoder."""
+    colors = coloring.colors
+    if isinstance(coloring, EdgeColoring):
+        kind = "edge"
+        rows = [f"      [\n        {u + 1},\n        {v + 1},\n        {colors[u, v]}\n      ]"
+                for u, v in sorted(colors)]
+    else:
+        kind = "vertex"
+        rows = [f"      [\n        {v + 1},\n        {colors[v]}\n      ]" for v in sorted(colors)]
+    assign = ("[\n" + ",\n".join(rows) + "\n    ]") if rows else "[]"
+    return f'{{\n    "assign": {assign},\n    "k": {coloring.k},\n    "kind": "{kind}"\n  }}'
 
 
 def coloring_from_obj(obj: dict) -> EdgeColoring | VertexColoring:

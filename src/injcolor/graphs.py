@@ -9,6 +9,7 @@ concurrent tasks.
 from __future__ import annotations
 
 import heapq
+import weakref
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
@@ -177,10 +178,12 @@ class _OutSetsOnFirstUse:
     """
 
     def __init__(self, graph: OrientedGraph) -> None:
-        self._graph = graph
+        # A weak reference, so that the pair is no cycle and an unread graph
+        # is freed by reference counting, with the collector paused or not.
+        self._graph = weakref.ref(graph)
 
     def _built(self) -> list[set[int]]:
-        graph = self._graph
+        graph = self._graph()
         if graph._out is self:
             values = list(range(graph.n))  # shared int objects keep the sets lean
             graph._out = [set(map(values.__getitem__, row)) for row in graph._rows()]
@@ -290,13 +293,15 @@ def degeneracy_order(G: UndirectedGraph) -> VertexOrdering:
     """
     n = G.n
     deg = [G.degree(v) for v in range(n)]
-    heap: list[Edge] = [(deg[v], v) for v in range(n)]
+    # The key (degree, v) packed as degree * n + v, which orders as the pair
+    # does, so no push allocates or compares a tuple.
+    heap = [deg[v] * n + v for v in range(n)]
     heapq.heapify(heap)
     removed = [False] * n
     back_order: list[int] = []
     d = 0
     while heap:
-        dv, v = heapq.heappop(heap)
+        dv, v = divmod(heapq.heappop(heap), n)
         if removed[v] or dv != deg[v]:
             continue
         removed[v] = True
@@ -306,7 +311,7 @@ def degeneracy_order(G: UndirectedGraph) -> VertexOrdering:
         for w in G.neighbors(v):
             if not removed[w]:
                 deg[w] -= 1
-                heapq.heappush(heap, (deg[w], w))
+                heapq.heappush(heap, deg[w] * n + w)
     return VertexOrdering(tuple(reversed(back_order)), d)
 
 

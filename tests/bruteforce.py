@@ -168,6 +168,24 @@ def exact_degeneracy(n, edges):
     return best
 
 
+def degeneracy_order_reference(n, edges):
+    """Smallest-last order from the definition, in O(n^2) steps: remove the
+    vertex of least (degree among the vertices left, id) until none is left.
+    Returns the removals in reverse and the largest degree seen at removal."""
+    adj = _adj(n, edges)
+    degree = [len(a) for a in adj]
+    left = set(range(n))
+    removals, d = [], 0
+    while left:
+        v = min(left, key=lambda x: (degree[x], x))
+        d = max(d, degree[v])
+        left.remove(v)
+        removals.append(v)
+        for w in adj[v] & left:
+            degree[w] -= 1
+    return tuple(reversed(removals)), d
+
+
 def in_masks(out_masks):
     """In-neighbor bitmasks from out-neighbor bitmasks, one set bit at a time:
     bit v of out_masks[u] sets bit u of the result's entry v."""

@@ -1,3 +1,4 @@
+import gc
 import json
 import tempfile
 import time
@@ -18,6 +19,7 @@ from injcolor import (
     OrientedGraph,
     RoundLimitExceededError,
     UndirectedGraph,
+    VertexColoring,
     complete_graph,
     cycle,
     injective_color_degenerate,
@@ -26,7 +28,8 @@ from injcolor import (
 )
 from injcolor import cli
 from injcolor.cli import run_command
-from injcolor.dimacs import ParseError, coloring_from_obj, coloring_to_obj, emit_graph, parse_graph
+from injcolor.dimacs import (ParseError, coloring_from_obj, coloring_to_json, coloring_to_obj,
+                             emit_graph, parse_graph)
 
 from .bruteforce import dimacs_text
 
@@ -93,6 +96,8 @@ def test_emit_parse_round_trip(G):
 def test_emit_graph_matches_one_line_per_pair(drawn):
     G, kind, pairs = drawn
     assert emit_graph(G) == dimacs_text(G.n, pairs, kind)
+    header = f"c drawn n={G.n}\nc {kind}\n"
+    assert emit_graph(G, header) == header + dimacs_text(G.n, pairs, kind)
 
 
 _EDGE = "p edge 2 1\ne 1 2\n"
@@ -554,6 +559,91 @@ def test_help_is_returned_not_printed(capsys, monkeypatch):
 def test_text_format():
     code, out = run(["exact", "--param", "inj", "--format", "text"], emit_graph(complete_graph(4)))
     assert code == 0 and "value: 6" in out
+
+
+def _stdlib_json(out):
+    return json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n"
+
+
+def _stdlib_text(obj, prefix=""):
+    """The --format text lines of a parsed JSON report, flattened here."""
+    if not isinstance(obj, dict):
+        return [f"{prefix[:-1]}: {obj}"]
+    return [line for key in sorted(obj) for line in _stdlib_text(obj[key], f"{prefix}{key}.")]
+
+
+def test_stdout_is_the_stdlib_rendering_of_the_report(tmp_path):
+    G = random_degenerate_graph(40, 3, 2)
+    D = random_orientation(G, 2)
+    code, out = run(["inj-degenerate", "--seed", "1"], emit_graph(G))
+    assert code == 0 and json.loads(out)["coloring"]["kind"] == "edge"
+    coloring_file = tmp_path / "inj.json"
+    coloring_file.write_text(json.dumps(json.loads(out)["coloring"]))
+    cases = [
+        (["inj-degenerate", "--seed", "1"], emit_graph(G), 0, "edge"),
+        (["oriented-genus", "--g", "4"], emit_graph(random_orientation(cycle(30), 1)), 0,
+         "vertex"),
+        (["oriented-from-inj", "--coloring", str(coloring_file)], emit_graph(D), 0, "vertex"),
+        (["inj-degenerate"], "p edge 3 0\n", 0, "edge"),
+        (["inj-degenerate"], "p edge 3 1\ne 1 4\n", 1, None),
+    ]
+    for argv, stdin, expected_code, kind in cases:
+        code, out = run(argv, stdin)
+        assert code == expected_code and out == _stdlib_json(out)
+        obj = json.loads(out)
+        assert obj.get("coloring", {}).get("kind") == kind
+        code, text = run(argv + ["--format", "text"], stdin)
+        assert code == expected_code and text == "\n".join(_stdlib_text(obj)) + "\n"
+    assert json.loads(run(["inj-degenerate"], "p edge 3 0\n")[1])["coloring"] == {
+        "assign": [], "k": 0, "kind": "edge"}
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_graphs(), st.integers(min_value=0, max_value=3))
+def test_stdout_of_random_graphs_is_the_stdlib_rendering(G, seed):
+    argv = ["inj-degenerate"] if isinstance(G, UndirectedGraph) else ["oriented-genus", "--g", "4"]
+    code, out = run(argv + ["--seed", str(seed)], emit_graph(G))
+    assert out == _stdlib_json(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.booleans(), st.dictionaries(
+    st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)).filter(lambda e: e[0] != e[1]),
+    st.integers(1, 10**15), max_size=20))
+def test_coloring_to_json_is_the_stdlib_text_one_level_deep(edges, colors):
+    coloring = (EdgeColoring(colors) if edges
+                else VertexColoring({u: c for (u, _), c in colors.items()}))
+    assert '{\n  "x": ' + coloring_to_json(coloring) + "\n}" == json.dumps(
+        {"x": coloring_to_obj(coloring)}, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("collecting", [True, False])
+def test_the_collector_is_paused_in_a_command_and_restored_after(tmp_path, monkeypatch,
+                                                                  collecting):
+    graph = "p edge 4 3\ne 1 2\ne 2 3\ne 3 4\n"
+    (tmp_path / "path.gr").write_text(graph)
+    (tmp_path / "planted.json").write_text(json.dumps(
+        {"kind": "edge", "k": 2, "assign": [[1, 2, 1], [2, 3, 2], [3, 4, 1]]}))
+    verify = ["verify", "--kind", "inj", str(tmp_path / "planted.json"), str(tmp_path / "path.gr")]
+    paused = []
+    real = cli.verify_injective
+    monkeypatch.setattr(cli, "verify_injective",
+                        lambda *args: paused.append(not gc.isenabled()) or real(*args))
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        for argv, stdin, code in ((["inj-degenerate"], graph, 0),
+                                  (["inj-degenerate"], "p edge 2\n", 1),
+                                  (verify, "", 2), (["--help"], "", 0)):
+            assert run(argv, stdin)[0] == code
+            assert gc.isenabled() is collecting
+        monkeypatch.setattr(cli, "injective_color_degenerate", lambda *args: 1 // 0)
+        with pytest.raises(ZeroDivisionError):  # a bug escapes run_command as a traceback
+            run(["inj-degenerate"], graph)
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert paused == [True, True]
 
 
 def test_one_parser_serves_every_command_of_a_process():

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -115,3 +117,21 @@ def test_random_orientation_properties():
     assert D.m == G.m
     assert D.underlying() == G
     assert D == random_orientation(G, 1)
+
+
+def test_an_array_drawn_graph_is_freed_without_the_collector():
+    # run_command pauses the cyclic collector, so a graph must not sit in a
+    # reference cycle with its out-set stand-in, read or not.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        for read in (False, True):
+            D = random_genus_lowerbound(40, 9)
+            if read:
+                assert D.out_neighbors(0) == {v for u, v in D.arcs() if u == 0}
+            alive = weakref.ref(D)
+            del D
+            assert alive() is None
+    finally:
+        if collecting:
+            gc.enable()

@@ -2,7 +2,7 @@ import random
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from injcolor import (
@@ -21,12 +21,12 @@ from injcolor import (
     path,
     random_degenerate_graph,
 )
-from .bruteforce import exact_degeneracy, min_chromatic
+from .bruteforce import degeneracy_order_reference, exact_degeneracy, min_chromatic
 
 
 @st.composite
-def small_graphs(draw, max_n=7):
-    n = draw(st.integers(min_value=1, max_value=max_n))
+def small_graphs(draw, max_n=7, min_n=1):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))) if pairs else []
     return UndirectedGraph(n, edges)
@@ -76,6 +76,28 @@ def test_degeneracy_matches_bruteforce(G):
     for v in range(G.n):
         back = sum(1 for w in G.neighbors(v) if pos[w] < pos[v])
         assert back <= ordering.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=25, min_n=0))
+@example(UndirectedGraph(0))
+@example(UndirectedGraph(1))
+@example(UndirectedGraph(7, [(2, 5), (5, 6)]))
+@example(complete_graph(9))
+def test_degeneracy_order_is_the_definitional_order(G):
+    ordering = degeneracy_order(G)
+    assert (ordering.order, ordering.d) == degeneracy_order_reference(G.n, G.edges())
+
+
+def test_degeneracy_order_is_the_definitional_order_on_larger_graphs():
+    rng = random.Random(11)
+    for seed in range(8):
+        n = rng.randrange(100, 400)
+        G = (random_degenerate_graph(n, rng.randrange(1, 6), seed) if seed % 2 else
+             UndirectedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < 0.02]))
+        ordering = degeneracy_order(G)
+        assert (ordering.order, ordering.d) == degeneracy_order_reference(G.n, G.edges())
 
 
 def test_degeneracy_matches_networkx_core_number():
