@@ -10,10 +10,9 @@ conflict graph of the edges) and 2-dipath searches start from the size of a
 greedy clique in each component.  The oriented search runs on the 2-dipath
 graph as a whole, with an ordered color-pair test on each color, and starts
 from the 2-dipath number.  The search keeps its own trail instead of
-recursing, and picks each vertex from saturation buckets, not by a scan.
-Each uncolored vertex holds one int whose bit c marks a neighbor colored c,
-so a placement costs one bit test per neighbor, and undoing it touches only
-the neighbors it saturated.
+recursing, and works on int bitsets whose O(L^2) bits for L vertices are
+why a search over more than SEARCH_VERTEX_BUDGET = 2^15 vertices raises
+BudgetExceededError before any mask is built.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ class OracleBudget:
 
 
 DEFAULT_BUDGET = OracleBudget()
+SEARCH_VERTEX_BUDGET = 1 << 15  # the most vertices one _k_colorable search takes
 
 
 class _Deadline:
@@ -56,6 +56,11 @@ class _Deadline:
         self.nodes += 1
         if self.nodes & 0x1FF == 0 and time.monotonic() > self.at:
             raise BudgetExceededError("oracle timeout")
+
+
+def _check_search_size(size: int) -> None:
+    if size > SEARCH_VERTEX_BUDGET:
+        raise BudgetExceededError(f"a search over {size} vertices exceeds the budget {SEARCH_VERTEX_BUDGET}")
 
 
 def _components(n: int, adj: list[set[int]]) -> list[list[int]]:
@@ -91,31 +96,34 @@ def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int]
                  deadline: _Deadline, arcs: list[list[tuple[int, bool]]] | None = None
                  ) -> dict[int, int] | None:
     """DSATUR backtracking (Brelaz, CACM 1979) with the clique precolored for
-    symmetry breaking.
+    symmetry breaking, on int bitsets over local ids (after San Segundo,
+    Rodriguez-Losada and Jimenez, Computers & OR 38(2), 2011).
 
-    Uncolored vertices (color 0) sit in buckets by saturation, the number of
-    distinct colors among their colored neighbors.  Bit c of seen[w] says
-    that a colored neighbor of w has color c, so an uncolored w sits in
-    bucket seen[w].bit_count() and may take c when bit c is clear.  A
-    colored vertex holds the all-ones mask -1, so placing c on v saturates
-    exactly the neighbors w with bit c clear in seen[w], and moves only those
-    up one bucket.  The next vertex is the one of highest saturation, then
-    highest degree, then lowest id; colors are tried in ascending order.
-    The trail holds (vertex, color, max_used before it, the vertex's mask
-    before it, the neighbors the placement saturated) for each placed
-    vertex, so undoing a placement touches only those neighbors.  With arcs,
-    where arcs[v] lists (neighbor, whether the arc leaves v), a color is
-    refused when one of v's arcs would carry the reverse of an ordered color
-    pair already on an arc: the oriented search.
+    nb[v] holds v's neighbors, colmask[c] the vertices, colored or not, with
+    a neighbor colored c, and uncolored the vertices still to color.  The
+    saturations (the number of c with the vertex in colmask[c]) are binary
+    counters sliced across k.bit_length() planes: bit v of planes[p] is bit
+    p of v's.  The uncolored set, narrowed plane by plane from the highest,
+    keeps the vertices of highest saturation, and its top bit is the next
+    vertex: highest saturation, then highest degree, then lowest id.  Colors
+    are tried in ascending order up to min(k, max_used + 1).  Placing c on v
+    ripple-adds newly = nb[v] minus colmask[c] into the planes; the trail
+    holds (vertex, color, max_used before it, newly), so an undo subtracts
+    exactly that.  A step costs O(L/30) digit operations (30-bit digits) for
+    L vertices, and the masks O(L^2) bits.  With arcs, where arcs[v] lists
+    (neighbor, whether the arc leaves v), a color is refused when one of v's
+    arcs would carry the reverse of an ordered color pair already on an arc:
+    the oriented search.
     """
-    # Local ids in selection-rank order, so that every table is a list and
-    # the highest id in a bucket is the next vertex.
+    # Local ids in selection-rank order, so that the top bit of a set of
+    # equally saturated vertices is the next vertex.
     order = sorted(comp, key=lambda u: (len(adj[u]), -u))
     local = {u: i for i, u in enumerate(order)}
-    nbrs = [[local[w] for w in adj[u]] for u in order]
+    nb = [sum(1 << local[w] for w in adj[u]) for u in order]
     colors = [0] * len(order)
-    seen = [0] * len(order)
-    buckets: list[set[int]] = [set(range(len(order)))] + [set() for _ in range(k)]
+    colmask = [0] * (k + 1)
+    planes = [0] * k.bit_length()
+    uncolored = (1 << len(order)) - 1
     if arcs is not None:
         arcs = [[(local[u], leaves) for u, leaves in arcs[v]] for v in order]
     pair_count: Counter[tuple[int, int]] = Counter()
@@ -124,86 +132,81 @@ def _k_colorable(comp: list[int], adj: list[set[int]], k: int, clique: list[int]
         return [(c, colors[u]) if leaves else (colors[u], c)
                 for u, leaves in arcs[v] if colors[u]]
 
-    def next_color(v: int, c: int, hi: int) -> int:
-        """The lowest allowed color of v in c + 1..hi, or 0."""
-        free = ~seen[v] & ((2 << hi) - (2 << c))
-        while free:
-            d = (free & -free).bit_length() - 1
-            if arcs is None or not any(pair_count[b, a] for a, b in arc_pairs(v, d)):
-                return d
-            free &= free - 1
-        return 0
-
-    def place(v: int, c: int) -> tuple[int, ...]:
+    def place(v: int, c: int) -> int:
+        nonlocal uncolored
         if arcs is not None:
             pair_count.update(arc_pairs(v, c))
         colors[v] = c
-        buckets[seen[v].bit_count()].remove(v)
-        seen[v] = -1
-        bit = 1 << c
-        saturated = [w for w in nbrs[v] if not seen[w] & bit]
-        for w in saturated:
-            seen[w] = now = seen[w] | bit
-            s = now.bit_count()
-            buckets[s - 1].remove(w)
-            buckets[s].add(w)
-        # A tuple of ints leaves the garbage collector's lists, so a deep
-        # trail does not slow every full collection.
-        return tuple(saturated)
-
-    def unplace(v: int, c: int, mask: int, saturated: tuple[int, ...]) -> None:
-        colors[v] = 0
-        if arcs is not None:
-            pair_count.subtract(arc_pairs(v, c))
-        seen[v] = mask
-        buckets[mask.bit_count()].add(v)
-        bit = 1 << c
-        for w in saturated:
-            seen[w] = now = seen[w] ^ bit
-            s = now.bit_count()
-            buckets[s + 1].remove(w)
-            buckets[s].add(w)
+        uncolored ^= 1 << v
+        newly = nb[v] ^ (nb[v] & colmask[c])
+        colmask[c] |= newly
+        carry = newly
+        for p, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[p] = plane ^ carry
+            carry &= plane
+        return newly
 
     for i, u in enumerate(clique):
         place(local[u], i + 1)
     max_used = len(clique)
-    trail: list[tuple[int, int, int, int, tuple[int, ...]]] = []
+    hi = min(k, max_used + 1)  # the highest color a step may try
+    trail: list[tuple[int, int, int, int]] = []
     while True:
         deadline.check()
-        s = k
-        while s >= 0 and not buckets[s]:
-            s -= 1
-        if s < 0:
+        if not uncolored:
             return dict(zip(order, colors))
-        v = max(buckets[s])
+        top = uncolored
+        for plane in reversed(planes):
+            if hit := top & plane:
+                top = hit
+        v = top.bit_length() - 1
         c = 0
-        # Take v's next allowed color above c, or undo the last placement and
-        # resume that vertex above its old color.
-        while not (c := next_color(v, c, min(k, max_used + 1))):
-            if not trail:
-                return None
-            v, c, max_used, mask, saturated = trail.pop()
-            unplace(v, c, mask, saturated)
-        mask = seen[v]
-        trail.append((v, c, max_used, mask, place(v, c)))
-        max_used = max(max_used, c)
-
-
-def _solve_component(comp: list[int], adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
-    """An optimal coloring of one component: k starts at the size of a
-    greedy clique and rises until _k_colorable succeeds, which it does at
-    k = len(comp) at the latest."""
-    clique = _greedy_clique(comp, adj)
-    k = len(clique)
-    while (colors := _k_colorable(comp, adj, k, clique, deadline)) is None:
-        k += 1
-    return colors
+        # Take v's lowest allowed color above c, or undo the last placement
+        # and resume that vertex above its old color.
+        while True:
+            for c in range(c + 1, hi + 1):
+                if not colmask[c] >> v & 1 and (
+                        arcs is None or not any(pair_count[b, a] for a, b in arc_pairs(v, c))):
+                    break
+            else:
+                if not trail:
+                    return None
+                v, c, max_used, newly = trail.pop()
+                hi = min(k, max_used + 1)
+                colors[v] = 0
+                if arcs is not None:
+                    pair_count.subtract(arc_pairs(v, c))
+                uncolored |= 1 << v
+                colmask[c] ^= newly
+                # Ripple-subtract newly from the planes.
+                for p, plane in enumerate(planes):
+                    if not newly:
+                        break
+                    planes[p] = plane = plane ^ newly
+                    newly &= plane
+                continue
+            break
+        trail.append((v, c, max_used, place(v, c)))
+        if c > max_used:
+            max_used = c
+            hi = min(k, c + 1)
 
 
 def _solve_chromatic(n: int, adj: list[set[int]], deadline: _Deadline) -> dict[int, int]:
+    """An optimal coloring, one component at a time: k starts at the size of
+    a greedy clique and rises until _k_colorable succeeds, which it does at
+    k = len(comp) at the latest."""
+    comps = _components(n, adj)
+    _check_search_size(max(map(len, comps), default=0))
     colors: dict[int, int] = {}
-    for comp in _components(n, adj):
-        colors.update(_solve_component(comp, adj, deadline))
+    for comp in comps:
+        clique = _greedy_clique(comp, adj)
+        k = len(clique)
+        while (found := _k_colorable(comp, adj, k, clique, deadline)) is None:
+            k += 1
+        colors.update(found)
     return colors
 
 
@@ -288,6 +291,7 @@ def exact_oriented_coloring(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUD
     distinct colors, and one arc at most joins each two of them.  k rises
     until the search succeeds, at k = n at the latest (all colors distinct).
     """
+    _check_search_size(D.n)
     adj = _two_dipath_adjacency(D, budget)
     deadline = _Deadline(budget.timeout)
     k = len(set(_solve_chromatic(D.n, adj, deadline).values()))

@@ -188,20 +188,30 @@ def build_full_graph(k: int, d: int, rng_seed: int = 0) -> FullGraph:
         )
     rng = random.Random(rng_seed)
     for _ in range(FULL_BUILD_ATTEMPTS):
-        out = [0] * n
-        for u in range(n):
-            start = (u // part_size + 1) * part_size
-            for v in range(start, n):
-                if rng.random() < 0.5:
-                    out[u] |= 1 << v
-                else:
-                    out[v] |= 1 << u
-        candidate = FullGraph(k, part_size, d, out)
+        candidate = FullGraph(k, part_size, d, _draw_out_masks(rng, n, part_size))
         if verify_full(candidate):
             return candidate
     raise FullGraphConstructionError(
         f"no full orientation for (k={k}, d={d}) in {FULL_BUILD_ATTEMPTS} attempts"
     )
+
+
+def _draw_out_masks(rng: random.Random, n: int, part_size: int) -> list[int]:
+    """Out-masks orienting each pair u < v of different parts, in the order
+    u, then v, as u -> v when rng.random() < 0.5.  CPython's random() takes
+    two 32-bit words and is below 0.5 exactly when the first is below 2^31,
+    so one getrandbits(64 * count) per row gives its count coins as bit 31
+    of every other word and leaves rng where count random() calls would."""
+    forward = np.zeros((n, n), dtype=bool)
+    for u in range(n - part_size):
+        start = (u // part_size + 1) * part_size
+        count = n - start
+        words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), "<u4")
+        coins = words[::2] < 1 << 31
+        forward[u, start:] = coins
+        forward[start:, u] = ~coins
+    packed = np.packbits(forward, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
 def _in_masks(H: FullGraph) -> list[int]:

@@ -101,6 +101,42 @@ def min_chromatic(n, edges):
     return n
 
 
+def dsatur_reference(n, edges, k, clique):
+    """Brelaz's DSATUR search for a k-coloring, from its definition, with
+    the clique precolored 1, 2, ... in order.  Each step colors the
+    uncolored vertex with the most distinct colors on its neighbors (its
+    saturation), then the highest degree, then the lowest id, and tries in
+    ascending order each color up to min(k, highest color used + 1) that no
+    neighbor has.  Returns the number of steps (one per state, the first one
+    included), the coloring or None, and the highest saturation of a vertex
+    a step picked."""
+    adj = _adj(n, edges)
+    colors = {u: i + 1 for i, u in enumerate(clique)}
+    steps = top = 0
+
+    def saturation(v):
+        return len({colors[w] for w in adj[v] if w in colors})
+
+    def search(used):
+        nonlocal steps, top
+        steps += 1
+        uncolored = [v for v in range(n) if v not in colors]
+        if not uncolored:
+            return True
+        v = max(uncolored, key=lambda v: (saturation(v), len(adj[v]), -v))
+        top = max(top, saturation(v))
+        for c in range(1, min(k, used + 1) + 1):
+            if all(colors.get(w) != c for w in adj[v]):
+                colors[v] = c
+                if search(max(used, c)):
+                    return True
+                del colors[v]
+        return False
+
+    found = search(len(clique))
+    return steps, dict(colors) if found else None, top
+
+
 def oriented_assignment_valid(arcs, colors):
     """No two arcs (including an arc with itself) realize reversed color pairs."""
     for (u, v) in arcs:
@@ -259,3 +295,18 @@ def dimacs_text(n, pairs, kind):
     lines = [f"p {kind} {n} {len(pairs)}"]
     lines.extend(f"{tag} {u + 1} {v + 1}" for u, v in sorted(pairs))
     return "\n".join(lines) + "\n"
+
+
+def full_graph_out_masks_reference(rng, n, part_size):
+    """Out-masks of a random orientation of the complete multipartite graph
+    with parts of part_size vertices, one rng.random() coin per pair u < v of
+    different parts in the order u, then v: u -> v when it falls below 0.5."""
+    out = [0] * n
+    for u in range(n):
+        start = (u // part_size + 1) * part_size
+        for v in range(start, n):
+            if rng.random() < 0.5:
+                out[u] |= 1 << v
+            else:
+                out[v] |= 1 << u
+    return out

@@ -34,7 +34,12 @@ from injcolor import (
     verify_oriented_coloring,
 )
 from injcolor import oriented
-from .bruteforce import dipath2_assignment_valid, in_masks, oriented_assignment_valid
+from .bruteforce import (
+    dipath2_assignment_valid,
+    full_graph_out_masks_reference,
+    in_masks,
+    oriented_assignment_valid,
+)
 
 
 def test_oriented_from_injective_single_arc():
@@ -132,6 +137,33 @@ def test_build_full_graph_refuses_a_high_order_before_forming_a_float():
     # 8^4 = 4096 is within the budget alone; the exact size is refused next.
     with pytest.raises(BudgetExceededError, match="32965 vertices exceeds the budget 4096"):
         build_full_graph(5, 4)
+
+
+@pytest.mark.parametrize("k", [5, 6, 7, 8])
+def test_bulk_draw_matches_one_random_call_per_pair(k):
+    # The same orientations as one rng.random() < 0.5 per pair, and the
+    # generator left where those calls leave it.
+    part_size = full_part_size(k, 2)
+    for seed in (0, 1, 2**40 + 7):
+        drawn, reference = random.Random(seed), random.Random(seed)
+        masks = oriented._draw_out_masks(drawn, k * part_size, part_size)
+        assert masks == full_graph_out_masks_reference(reference, k * part_size, part_size)
+        assert drawn.random() == reference.random()
+
+
+def test_redrawn_full_graph_is_the_second_draw_of_the_stream(monkeypatch):
+    verdicts = []
+
+    def fail_once(H):
+        verdicts.append(bool(verdicts) and verify_full(H))
+        return verdicts[-1]
+
+    monkeypatch.setattr(oriented, "verify_full", fail_once)
+    H = build_full_graph(5, 2, 3)
+    assert verdicts == [False, True]
+    reference = random.Random(3)
+    full_graph_out_masks_reference(reference, H.n, H.N)
+    assert H._out == full_graph_out_masks_reference(reference, H.n, H.N)
 
 
 def test_full_graph_structure():
