@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import math
 import random
+from functools import cached_property
 from itertools import combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -64,7 +66,8 @@ def random_genus_lowerbound(n: int, rng_seed: int = 0) -> OrientedGraph:
     The output is digon-free by construction (one orientation per sampled
     pair).  Sampling is vectorized row by row, and the arcs stay arrays: row
     order already sorts the heads within each tail, so one stable sort on the
-    tails puts them in (tail, head) order.
+    tails puts them in (tail, head) order.  The graph emits from the arrays
+    and builds its out-sets on first adjacency read (_DrawnOrientedGraph).
     """
     if n < 2 or n % 2:
         raise ValueError("needs even n >= 2")
@@ -86,7 +89,26 @@ def random_genus_lowerbound(n: int, rng_seed: int = 0) -> OrientedGraph:
         heads.append(np.where(forward, others, u))
     tails, heads = np.concatenate(tails), np.concatenate(heads)
     order = np.argsort(tails, kind="stable")
-    return OrientedGraph._from_sorted_arcs(n, tails[order], heads[order])
+    return _DrawnOrientedGraph(n, tails[order], heads[order])
+
+
+class _DrawnOrientedGraph(OrientedGraph):
+    """An OrientedGraph kept as its arcs' (tails, heads) arrays in (tail,
+    head) order, which the caller guarantees distinct, loop- and digon-free."""
+
+    def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray) -> None:
+        self.n, self.m, self._in = n, len(heads), None
+        self._arcs = (tails, heads)
+
+    def _rows(self) -> Iterator[list[int]]:
+        tails, heads = self._arcs
+        bounds = tails.searchsorted(range(self.n + 1)).tolist()
+        return (heads[a:b].tolist() for a, b in zip(bounds, bounds[1:]))
+
+    @cached_property
+    def _out(self) -> list[set[int]]:
+        values = list(range(self.n))  # shared int objects keep the sets lean
+        return [set(map(values.__getitem__, row)) for row in self._rows()]
 
 
 def pad_with_k5(G: UndirectedGraph, copies: int) -> UndirectedGraph:

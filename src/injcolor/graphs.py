@@ -9,12 +9,9 @@ concurrent tasks.
 from __future__ import annotations
 
 import heapq
-import weakref
 from dataclasses import dataclass
 from itertools import starmap
 from typing import Callable, Hashable, Iterable, Iterator, Mapping
-
-import numpy as np
 
 from .errors import InvalidColoringError
 
@@ -78,12 +75,11 @@ class UndirectedGraph:
 class OrientedGraph:
     """Digon-free orientation: no loops, at most one arc per vertex pair.
 
-    A graph drawn as arrays (``_from_sorted_arcs``) keeps them and builds its
-    out-sets only on first adjacency access (see ``_OutSetsOnFirstUse``).
+    The out-sets ``_out`` are a plain instance attribute.  The class itself
+    defines no ``_out``, so CPython specializes ``self._out`` in the hot
+    methods below; the drawn lower-bound graph (``generators``) is a
+    subclass that builds its out-sets on first read.
     """
-
-    # (tails, heads) in (tail, head) order, for a graph drawn as arrays.
-    _arcs: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, n: int, arcs: Iterable[Edge] = ()) -> None:
         if n < 0:
@@ -104,25 +100,9 @@ class OrientedGraph:
                 m += 1
         self.m = m
 
-    @classmethod
-    def _from_sorted_arcs(cls, n: int, tails: np.ndarray, heads: np.ndarray) -> "OrientedGraph":
-        # Trusted fast path: the caller guarantees distinct arcs in (tail,
-        # head) order and loop- and digon-freeness.
-        g = cls.__new__(cls)
-        g.n = n
-        g._out = _OutSetsOnFirstUse(g)
-        g._in = None
-        g.m = len(heads)
-        g._arcs = (tails, heads)
-        return g
-
     def _rows(self) -> Iterator[list[int]]:
         """Each vertex's out-neighbors in ascending order."""
-        if self._arcs is None:
-            return (sorted(heads) for heads in self._out)
-        tails, heads = self._arcs
-        bounds = tails.searchsorted(range(self.n + 1)).tolist()
-        return (heads[a:b].tolist() for a, b in zip(bounds, bounds[1:]))
+        return (sorted(heads) for heads in self._out)
 
     def _in_sets(self) -> list[set[int]]:
         if self._in is None:
@@ -166,37 +146,6 @@ class OrientedGraph:
 
     def __repr__(self) -> str:
         return f"OrientedGraph(n={self.n}, m={self.m})"
-
-
-class _OutSetsOnFirstUse:
-    """Stands in for the out-sets of an array-drawn OrientedGraph until the
-    first read, which builds them and puts them in the graph's ``_out``.
-
-    The stand-in is per instance because anything the class itself defines
-    for ``_out`` (``__getattr__``, a descriptor) stops CPython from
-    specializing ``self._out`` in every graph's hot methods.
-    """
-
-    def __init__(self, graph: OrientedGraph) -> None:
-        # A weak reference, so that the pair is no cycle and an unread graph
-        # is freed by reference counting, with the collector paused or not.
-        self._graph = weakref.ref(graph)
-
-    def _built(self) -> list[set[int]]:
-        graph = self._graph()
-        if graph._out is self:
-            values = list(range(graph.n))  # shared int objects keep the sets lean
-            graph._out = [set(map(values.__getitem__, row)) for row in graph._rows()]
-        return graph._out
-
-    def __getitem__(self, v: int) -> set[int]:
-        return self._built()[v]
-
-    def __iter__(self) -> Iterator[set[int]]:
-        return iter(self._built())
-
-    def __eq__(self, other: object) -> bool:
-        return self._built() == other
 
 
 @dataclass(frozen=True)

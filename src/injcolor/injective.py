@@ -4,10 +4,10 @@ Two procedures color the arcs leaving an independent set so that every color
 class is an induced star forest: a randomized one driven by repeated vertex
 sampling, and a deterministic one driven by a separating family over the
 colors of a clique-graph coloring.  The class step of all three injective
-pipelines, color_greedy_classes, gives the deterministic one singleton
-rounds when they are few enough and else runs the pipeline's own fallback.
-Also here: the degenerate-graph pipeline, the one-subdivision construction,
-and the validity verifier.
+pipelines, color_greedy_classes, shades singleton rounds itself (each arc's
+round is its head's color) when they are few enough and else runs the
+pipeline's own fallback.  Also here: the degenerate-graph pipeline, the
+one-subdivision construction, and the validity verifier.
 """
 
 from __future__ import annotations
@@ -295,10 +295,12 @@ def color_greedy_classes(
     X's heads are peel-colored (warning against an asserted genus), so each
     out-neighborhood is rainbow in k colors hcol.  The pipeline's fallback
     (route, rounds, color) colors X by color(cls, X, hcol) in rounds(d, k)
-    rounds, d the largest out-degree in X; when 2k is at most that, the
-    singletons {1}, ..., {k} color X instead: arc (x, a) is x's only arc in
-    round hcol[a].  Returns the coloring, classes sharing no color, and per
-    class with out-arcs ("class_<cls>") its colors, peel_colors and class_routes.
+    rounds, d the largest out-degree in X; when 2k is at most that, singleton
+    rounds color X instead: arc (x, a) is x's only arc in round hcol[a], so
+    _shade_rounds takes those rounds as they are, which is what
+    color_arcs_deterministic gives with the family {1}, ..., {k}, less its
+    checks.  Returns the coloring, classes sharing no color, and per class
+    with out-arcs ("class_<cls>") its colors, peel_colors and class_routes.
     """
     classes: dict[int, list[int]] = {}
     for v in vertices:
@@ -318,8 +320,7 @@ def color_greedy_classes(
         route, rounds, color = fallback
         if 2 * k <= rounds(d, k):
             route = "singletons"
-            singletons = SeparatingFamily(k, k, tuple(frozenset((c,)) for c in range(1, k + 1)))
-            part = color_arcs_deterministic(D, X, hcol, singletons)
+            part = _shade_rounds(D, {(x, a): hcol[a] for x in X for a in D.out_neighbors(x)})
         else:
             part = color(cls, X, hcol)
         merged.update((e, offset + c) for e, c in part.colors.items())

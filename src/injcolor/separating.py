@@ -36,14 +36,17 @@ def family_size_bound(k: int, r: int) -> int:
 def build_separating_family(k: int, r: int, rng_seed: int = 0) -> SeparatingFamily:
     """Draw subsets with per-element probability 1/r until a draw verifies.
 
-    A universe smaller than r is padded up to r elements; a family over a
-    superset universe separates the original.  Deterministic for a given
-    seed; retries consume the same seeded stream.  When the k *
-    family_size_bound(k, r) coin flips of one draw exceed FLIP_BUDGET, or the
-    k * C(k-1, r-1) pairs that verify_separating_family enumerates exceed
-    PAIR_BUDGET, raises BudgetExceededError before anything is drawn (the
-    flips first: unlike the pairs, they need no binomial).
+    A universe size k below 1 is refused; one of 1 <= k < r is padded up to
+    r elements, since a family over a superset universe separates the
+    original.  Deterministic for a given seed; retries consume the same
+    seeded stream.  When the k * family_size_bound(k, r) coin flips of one
+    draw exceed FLIP_BUDGET, or the k * C(k-1, r-1) pairs that
+    verify_separating_family enumerates exceed PAIR_BUDGET, raises
+    BudgetExceededError before anything is drawn (the flips first: unlike the
+    pairs, they need no binomial).
     """
+    if k < 1:
+        raise ValueError(f"universe size k={k} must be at least 1")
     if r < 2:
         raise ValueError("separation order r must be at least 2")
     k = max(k, r)

@@ -498,6 +498,7 @@ def test_full_graph_over_budget_is_refused_at_once():
     # the flips are refused before C(k-1, r-1) is computed or printed
     (["family", "--k", "100000", "--r", "50000"], "coin flips, beyond the budget 1000000"),
     (["family", "--k", "1000000", "--r", "500000"], "coin flips, beyond the budget 1000000"),
+    (["family", "--k", "-3", "--r", "2"], "universe size k=-3 must be at least 1"),
 ])
 def test_oversized_builds_are_refused_at_once(argv, message):
     start = time.perf_counter()

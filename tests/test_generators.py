@@ -67,7 +67,7 @@ def test_random_genus_lowerbound_digon_free_and_deterministic():
 def test_array_drawn_graph_matches_the_same_arcs_built_from_sets(n, seed):
     D = random_genus_lowerbound(n, seed)
     text = emit_graph(D)
-    assert not isinstance(D._out, list)  # emitting reads the arrays, not out-sets
+    assert "_out" not in vars(D)  # emitting reads the arrays, not out-sets
     E = OrientedGraph(n, D.arcs())
     assert text == emit_graph(E)
     assert D.arcs() == E.arcs() and D.m == E.m
@@ -77,6 +77,25 @@ def test_array_drawn_graph_matches_the_same_arcs_built_from_sets(n, seed):
     assert all(D.has_arc(u, v) == E.has_arc(u, v) for u, v in probes)
     assert D.max_out_degree == E.max_out_degree
     assert D.underlying().m == E.underlying().m == D.m
+
+
+def test_oriented_graph_itself_defines_no_out_sets():
+    # Anything the class defines for _out (a descriptor, __getattr__) would
+    # stop CPython from specializing self._out in every graph's hot methods;
+    # only the drawn graph's own class builds its out-sets on first read.
+    assert not hasattr(OrientedGraph, "_out")
+    assert not hasattr(OrientedGraph, "__getattr__")
+
+
+@pytest.mark.parametrize("n, seed", [(40, 9), (1100, 3)])
+def test_first_adjacency_read_leaves_plain_out_sets_on_a_drawn_graph(n, seed):
+    D = random_genus_lowerbound(n, seed)
+    assert "_out" not in vars(D)
+    D.out_neighbors(0)
+    out = vars(D)["_out"]
+    assert type(out) is list and all(type(heads) is set for heads in out)
+    assert D.out_neighbors(1) is out[1]  # later reads use the same list
+    assert out == OrientedGraph(n, D.arcs())._out
 
 
 def test_random_genus_lowerbound_inclusion_rate():
@@ -121,7 +140,7 @@ def test_random_orientation_properties():
 
 def test_an_array_drawn_graph_is_freed_without_the_collector():
     # run_command pauses the cyclic collector, so a graph must not sit in a
-    # reference cycle with its out-set stand-in, read or not.
+    # reference cycle, with its out-sets read or not.
     collecting = gc.isenabled()
     gc.disable()
     try:

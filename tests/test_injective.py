@@ -12,6 +12,7 @@ from injcolor import (
     OracleBudget,
     OrientedGraph,
     RoundLimitExceededError,
+    SeparatingFamily,
     UndirectedGraph,
     VertexColoring,
     build_separating_family,
@@ -301,6 +302,40 @@ def test_arc_colorers_color_every_greedy_class_injectively(case):
             assert injective_assignment_valid(
                 G.n, G.edges(), {frozenset(e): c for e, c in part.colors.items()}
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=2**16))
+def test_singleton_rounds_match_the_deterministic_colorer(n, d, seed):
+    """The class step shades singleton rounds itself; with the singleton
+    family {1}, ..., {k}, color_arcs_deterministic is the reference for
+    every class."""
+    G = random_degenerate_graph(n, d, seed)
+    ordering = degeneracy_order(G)
+    D, proper = orient_by_ordering(G, ordering), greedy_color(G, ordering)
+
+    def no_fallback(*args):
+        raise AssertionError("every class takes singleton rounds")
+
+    coloring, phase_colors, stats = injective.color_greedy_classes(
+        D, range(n), proper, ("unused", lambda _, k: 2 * k, no_fallback))
+    expected, offset = {}, 0
+    for cls in sorted(set(proper.colors.values())):
+        X = [v for v in range(n) if proper[v] == cls]
+        if not any(D.out_degree(x) for x in X):
+            continue
+        hyper, heads = neighborhood_hypergraph(D, X)
+        dense = peel_color_clique_graph(hyper)
+        hcol = VertexColoring({heads[j]: c for j, c in dense.colors.items()})
+        singletons = SeparatingFamily(dense.k, dense.k,
+                                      tuple(frozenset({c}) for c in range(1, dense.k + 1)))
+        part = color_arcs_deterministic(D, X, hcol, singletons)
+        assert phase_colors[f"class_{cls}"] == part.k
+        expected.update((e, offset + c) for e, c in part.colors.items())
+        offset += part.k
+    assert coloring == EdgeColoring(expected)
+    assert set(stats["class_routes"].values()) <= {"singletons"}
 
 
 @pytest.mark.parametrize("h, tails_route", [(32, "singletons"), (48, "randomized")])

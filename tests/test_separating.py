@@ -71,6 +71,14 @@ def test_universe_padding_when_r_exceeds_k():
     assert len(fam.sets) <= family_size_bound(4, 4)
 
 
+@pytest.mark.parametrize("k", [0, -3])
+def test_refuses_a_universe_below_one(k, monkeypatch):
+    # refused before anything is drawn, not padded up to r like 1 <= k < r
+    monkeypatch.setattr(separating, "random", None)  # a draw would fail on it
+    with pytest.raises(ValueError, match=f"universe size k={k} must be at least 1"):
+        build_separating_family(k, 2, 0)
+
+
 def test_refuses_families_over_the_pair_budget(monkeypatch):
     # 30 * C(29, 7) = 46.8 M pairs: refused before anything is drawn
     with pytest.raises(BudgetExceededError, match="46823400 pairs"):
