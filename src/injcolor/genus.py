@@ -9,9 +9,9 @@ counts instead of asserting asymptotic bounds.
 Each pipeline splits the degeneracy order into a prefix V1 and the rest V2.
 The injective one gives each edge inside V1 a fresh color.  It and
 oriented_color_genus color the arcs leaving V2 with the class step
-injective.color_greedy_classes, whose fallback here draws a separating
-family.  The oriented ones share a front, which strips the arcs inside V1,
-and a back, which gives V1 unique colors and reports.
+injective.color_greedy_classes, as inj-degenerate does.  The oriented ones
+share a front, which strips the arcs inside V1, and a back, which gives V1
+unique colors and reports.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from .graphs import (
     greedy_color,
     orient_by_ordering,
 )
-from .injective import color_arcs_deterministic, color_greedy_classes, verify_injective
+from .injective import color_greedy_classes, verify_injective
 from .oriented import (
     add_unique_colors,
     build_full_graph,
@@ -42,7 +42,6 @@ from .oriented import (
     verify_oriented_coloring,
 )
 from .rng import derive_seed
-from .separating import build_separating_family, family_size_bound
 
 ORIENTED_BOUND_CONSTANT = 2**20
 
@@ -92,28 +91,17 @@ def _genus_ordering(G: UndirectedGraph, genus: int, rng_seed: int) -> tuple[Vert
 
 
 def _color_classes(D: OrientedGraph, v2: tuple[int, ...], proper: VertexColoring, genus: int,
-                   rng_seed: int, class_cap: int, r: int = 0
+                   rng_seed: int, class_cap: int
                    ) -> tuple[EdgeColoring, dict[str, int], dict[str, dict]]:
     """color_greedy_classes on the arcs leaving v2 unless some vertex's class
-    exceeds class_cap or its out-degree reaches it.  The fallback draws a
-    separating family of order r, by default the class's out-degree, >= 2."""
+    exceeds class_cap or its out-degree reaches it."""
     for v in v2:
         if proper[v] > class_cap or D.out_degree(v) >= class_cap:
             raise DegeneracyExceedsGenusError(
                 f"vertex {v} needs color {proper[v]} with out-degree {D.out_degree(v)}, "
                 f"beyond the caps ({class_cap}, {class_cap - 1}) for genus {genus}"
             )
-
-    def rounds(d: int, k: int) -> int:
-        order = r or max(2, d)
-        return family_size_bound(max(k, order), order)
-
-    def drawn_family(cls: int, X: list[int], hcol: VertexColoring) -> EdgeColoring:
-        order = r or max(2, max(D.out_degree(x) for x in X))
-        family = build_separating_family(max(hcol.k, order), order, derive_seed(rng_seed, cls))
-        return color_arcs_deterministic(D, X, hcol, family)
-
-    return color_greedy_classes(D, v2, proper, ("drawn_family", rounds, drawn_family), genus)
+    return color_greedy_classes(D, v2, proper, rng_seed, genus)
 
 
 def injective_color_genus(
@@ -125,9 +113,9 @@ def injective_color_genus(
     and their internal edges each get one fresh color; Euler-formula counting
     keeps that phase near 3g colors.  Every later vertex has at most
     floor(ln g) + 5 earlier neighbors, so at most floor(ln g) + 6 greedy
-    classes partition V2, and each class's outgoing arcs are colored
-    deterministically through a clique-graph peel coloring and singleton
-    rounds or a drawn separating family.
+    classes partition V2, and each class's outgoing arcs are colored through
+    a clique-graph peel coloring and singleton rounds, or randomized rounds
+    when the singleton rounds would be more than half as many.
     """
     ordering, stats = _genus_ordering(G, genus, rng_seed)
     log_g = math.log(genus)
@@ -186,15 +174,16 @@ def oriented_color_genus(
 
     The first 6g vertices of the degeneracy order form V1; with the edges
     inside V1 removed, every remaining vertex has at most 6 earlier
-    neighbors, so the stripped graph gets an injective edge coloring through
-    7 deterministic class rounds, which converts to an oriented coloring of
+    neighbors, so at most 7 greedy classes partition V2 (the caps refuse
+    any other input), and the class step colors the stripped graph's edges
+    injectively, class by class.  That converts to an oriented coloring of
     the user orientation; finally V1 is recolored with unique colors.  When
     n <= 6g, V2 is empty and every vertex gets a unique color 1..n.
     """
     G, ordering, stats, v1, v2, stripped = _strip_prefix(D, genus, rng_seed)
     aux = orient_by_ordering(stripped.underlying(), ordering)
     inj, phase_colors, class_stats = _color_classes(aux, v2, greedy_color(G, ordering), genus,
-                                                    rng_seed, 7, r=6)
+                                                    rng_seed, 7)
     base = oriented_from_injective(stripped, inj)
     # At most 6g + 4^k colors, k being the injective count.
     return _finish_oriented(D, v1, v2, base, dict(phase_colors, injective_total=inj.k),

@@ -6,7 +6,7 @@ sampling, and a deterministic one driven by a separating family over the
 colors of a clique-graph coloring.  The class step of all three injective
 pipelines, color_greedy_classes, shades singleton rounds itself (each arc's
 round is its head's color) when they are few enough and else runs the
-pipeline's own fallback.  Also here: the degenerate-graph pipeline, the
+randomized procedure.  Also here: the degenerate-graph pipeline, the
 one-subdivision construction, and the validity verifier.
 """
 
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import InjcolorError, InvalidColoringError
 from .graphs import (
@@ -117,6 +117,15 @@ def _nominal_rounds(d: int, max_degree: int) -> int:
     return max(1, math.ceil(4 * math.e * d * math.log(max_degree))) if max_degree > 1 else 1
 
 
+def _max_degree(D: OrientedGraph) -> int:
+    """The largest out-degree plus in-degree of a vertex of D."""
+    degree = [D.out_degree(v) for v in range(D.n)]
+    for v in range(D.n):
+        for w in D.out_neighbors(v):
+            degree[w] += 1
+    return max(degree, default=0)
+
+
 def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0) -> EdgeColoring:
     """Color all arcs leaving the independent set X into induced star forests.
 
@@ -135,7 +144,7 @@ def color_arcs_randomized(D: OrientedGraph, X: Iterable[int], rng_seed: int = 0)
     if not targets:
         return EdgeColoring({})
     d = max(D.out_degree(x) for x in members)
-    nominal = _nominal_rounds(d, max(D.out_degree(v) + len(D.in_neighbors(v)) for v in range(D.n)))
+    nominal = _nominal_rounds(d, _max_degree(D))
     limit = ROUND_LIMIT_FACTOR * nominal
 
     rng = random.Random(rng_seed)
@@ -226,20 +235,15 @@ def injective_color_degenerate(G: UndirectedGraph, rng_seed: int = 0,
     class's largest out-degree.  Either route takes at most that many rounds
     of at most 2d+1 shades, so degeneracy d gives at most
     ceil(4*e*d*ln(max_degree))*(2d+1)*(d+1) colors.  Maximum degree at most
-    2 (paths and cycles) gets an optimal closed form (_color_paths_and_cycles).
-    A report dict, if given, receives the class step's per-class stats.
+    2 (paths and cycles, and the empty graph) gets an optimal closed form
+    (_color_paths_and_cycles).  A report dict, if given, receives the class
+    step's per-class stats.
     """
-    if G.n == 0:
-        raise ValueError("graph must be nonempty")
     if G.max_degree <= 2:
         return _color_paths_and_cycles(G)
     ordering = degeneracy_order(G)
-    D = orient_by_ordering(G, ordering)
     coloring, phase_colors, stats = color_greedy_classes(
-        D, range(G.n), greedy_color(G, ordering),
-        ("randomized", lambda d, k: _nominal_rounds(d, G.max_degree),
-         lambda cls, X, hcol: color_arcs_randomized(D, X, derive_seed(rng_seed, cls))),
-    )
+        orient_by_ordering(G, ordering), range(G.n), greedy_color(G, ordering), rng_seed)
     if report is not None:
         report.update(stats, phase_colors=phase_colors)
     return coloring
@@ -287,20 +291,23 @@ def color_greedy_classes(
     D: OrientedGraph,
     vertices: Sequence[int],
     proper: VertexColoring,
-    fallback: tuple[str, Callable[[int, int], int], Callable[..., EdgeColoring]],
+    rng_seed: int,
     genus: int | None = None,
 ) -> tuple[EdgeColoring, dict[str, int], dict[str, dict]]:
     """Color the arcs leaving the given vertices, one greedy class X at a time.
 
     X's heads are peel-colored (warning against an asserted genus), so each
-    out-neighborhood is rainbow in k colors hcol.  The pipeline's fallback
-    (route, rounds, color) colors X by color(cls, X, hcol) in rounds(d, k)
-    rounds, d the largest out-degree in X; when 2k is at most that, singleton
-    rounds color X instead: arc (x, a) is x's only arc in round hcol[a], so
-    _shade_rounds takes those rounds as they are, which is what
-    color_arcs_deterministic gives with the family {1}, ..., {k}, less its
-    checks.  Returns the coloring, classes sharing no color, and per class
-    with out-arcs ("class_<cls>") its colors, peel_colors and class_routes.
+    out-neighborhood is rainbow in k colors hcol.  color_arcs_randomized
+    would color X in R = ceil(4*e*d*ln(max_degree)) rounds, d the largest
+    out-degree in X and max_degree the largest degree in D; when 2k is at
+    most R, singleton rounds color X instead: arc (x, a) is x's only arc in
+    round hcol[a], so _shade_rounds takes those rounds as they are, which is
+    what color_arcs_deterministic gives with the family {1}, ..., {k}, less
+    its checks.  Otherwise color_arcs_randomized colors X with the seed
+    derive_seed(rng_seed, cls).  Either way X takes at most min(R, 2k - 1)
+    rounds, bar astronomically rare extra ones.  Returns the coloring,
+    classes sharing no color, and per class with out-arcs ("class_<cls>")
+    its colors, peel_colors and class_routes.
     """
     classes: dict[int, list[int]] = {}
     for v in vertices:
@@ -308,7 +315,7 @@ def color_greedy_classes(
     merged: dict[Edge, int] = {}
     phase_colors: dict[str, int] = {}
     stats: dict[str, dict] = {"peel_colors": {}, "class_routes": {}}
-    offset = 0
+    offset, max_degree = 0, _max_degree(D)
     for cls in sorted(classes):
         X = classes[cls]
         d = max(D.out_degree(x) for x in X)
@@ -317,12 +324,12 @@ def color_greedy_classes(
         hyperedges, heads = neighborhood_hypergraph(D, X)
         dense = peel_color_clique_graph(hyperedges, genus=genus)
         k, hcol = dense.k, VertexColoring({heads[i]: c for i, c in dense.colors.items()})
-        route, rounds, color = fallback
-        if 2 * k <= rounds(d, k):
+        if 2 * k <= _nominal_rounds(d, max_degree):
             route = "singletons"
             part = _shade_rounds(D, {(x, a): hcol[a] for x in X for a in D.out_neighbors(x)})
         else:
-            part = color(cls, X, hcol)
+            route = "randomized"
+            part = color_arcs_randomized(D, X, derive_seed(rng_seed, cls))
         merged.update((e, offset + c) for e, c in part.colors.items())
         offset += part.k
         key = f"class_{cls}"

@@ -599,6 +599,14 @@ def test_stdout_is_the_stdlib_rendering_of_the_report(tmp_path):
         "assign": [], "k": 0, "kind": "edge"}
 
 
+@pytest.mark.parametrize("graph", ["p edge 0 0\n", "p edge 1 0\n"])
+def test_inj_degenerate_colors_the_empty_and_the_one_vertex_graph(graph):
+    code, out = run(["inj-degenerate", "--seed", "1"], graph)
+    obj = json.loads(out)
+    assert code == 0 and obj["colors"] == 0 and obj["valid"] is True
+    assert obj["coloring"] == {"assign": [], "k": 0, "kind": "edge"}
+
+
 @settings(max_examples=100, deadline=None)
 @given(any_graphs(), st.integers(min_value=0, max_value=3))
 def test_stdout_of_random_graphs_is_the_stdlib_rendering(G, seed):

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from injcolor import (
@@ -5,10 +7,10 @@ from injcolor import (
     DegeneracyExceedsGenusError,
     GenusTooSmallError,
     OracleBudget,
+    UndirectedGraph,
     complete_graph,
     degeneracy_order,
     exact_injective_index,
-    family_size_bound,
     genus_of_complete,
     grid_graph,
     heawood_degeneracy_bound,
@@ -21,6 +23,7 @@ from injcolor import (
     verify_injective,
     verify_oriented_coloring,
 )
+from injcolor.injective import _nominal_rounds
 from .conftest import random_grid_subgraph
 
 
@@ -53,22 +56,52 @@ def test_injective_genus_planar_grid():
     assert report.v1_size + report.v2_size == 25
 
 
-@pytest.mark.parametrize("h, k, route", [(16, 12, "singletons"), (20, 16, "drawn_family")])
+@pytest.mark.parametrize("h, k, route", [(16, 12, "singletons"), (20, 16, "singletons"),
+                                         (48, 44, "randomized")])
 def test_genus_class_routes_on_subdivided_cliques(h, k, route):
-    """The midpoints' class of subdivide(K_h) has out-degree 2, so its
-    fallback family has order 2: singleton rounds need 2k <= family_size_bound(k, 2),
-    which holds at k = 12 (24 <= 28) and fails at k = 16 (32 > 31)."""
+    """The midpoints' class of subdivide(K_h) has out-degree d = 2 and the
+    largest degree is h - 1, so singleton rounds need 2k <= R =
+    ceil(4e * 2 * ln(h - 1)), which holds at k = 12 (24 <= 59) and k = 16
+    (32 <= 65) and fails at k = 44 (88 > 84), where color_arcs_randomized
+    colors the class."""
     S = subdivide(complete_graph(h))
     coloring, report = injective_color_genus(S, 2, 0)
     assert report.checks["injective_valid"] and verify_injective(S, coloring)
     peel, routes = report.stats["peel_colors"], report.stats["class_routes"]
     tails = max(peel, key=peel.get)
     assert (peel[tails], routes[tails]) == (k, route)
-    assert (2 * k <= family_size_bound(k, 2)) == (route == "singletons")
+    assert degeneracy_order(S).d == 2 and S.max_degree == h - 1
+    assert (2 * k <= _nominal_rounds(2, S.max_degree)) == (route == "singletons")
     assert set(routes) == set(report.phase_colors) - {"v1_fresh"}
     _, oriented = oriented_color_genus(random_orientation(S, 1), 2, 0)
     assert oriented.checks["oriented_valid"]
-    assert set(oriented.stats["class_routes"].values()) <= {"singletons", "drawn_family"}
+    assert set(oriented.stats["class_routes"].values()) <= {"singletons", "randomized"}
+
+
+def test_oriented_genus_colors_a_subdivided_k290():
+    """The midpoints' class has 287 peel colors, far more than singleton
+    rounds allow at out-degree 2, so color_arcs_randomized colors it."""
+    D = random_orientation(subdivide(complete_graph(290)), 1)
+    with pytest.warns(UserWarning, match="dishonest"):  # 287 peel colors at g = 2
+        coloring, report = oriented_color_genus(D, 2, 0)
+    assert report.checks["oriented_valid"] and verify_oriented_coloring(D, coloring)
+    assert report.stats["peel_colors"]["class_1"] == 287
+    assert report.stats["class_routes"]["class_1"] == "randomized"
+
+
+def test_injective_genus_colors_a_class_of_out_degree_4():
+    """Heads 0..109, hubs 110 and 111, and one tail per head pair joined to
+    both heads and both hubs: 6,107 vertices of degeneracy 4, whose tails'
+    class has 108 peel colors."""
+    edges, tail = [], 112
+    for i, j in itertools.combinations(range(110), 2):
+        edges += [(tail, i), (tail, j), (tail, 110), (tail, 111)]
+        tail += 1
+    G = UndirectedGraph(tail, edges)
+    assert (G.n, degeneracy_order(G).d) == (6107, 4)
+    coloring, report = injective_color_genus(G, 3, 0)
+    assert report.checks["injective_valid"] and verify_injective(G, coloring)
+    assert report.stats["peel_colors"]["class_1"] == 108
 
 
 def test_injective_genus_rejects_small_g():

@@ -36,6 +36,7 @@ from injcolor import (
     verify_injective,
 )
 from injcolor import injective, oracles
+from injcolor.rng import derive_seed
 from .bruteforce import injective_assignment_valid, last_sole_rounds, randomized_rounds
 
 
@@ -305,37 +306,38 @@ def test_arc_colorers_color_every_greedy_class_injectively(case):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=1, max_value=80), st.integers(min_value=1, max_value=4),
+@given(st.integers(min_value=3, max_value=80), st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=2**16))
 def test_singleton_rounds_match_the_deterministic_colorer(n, d, seed):
     """The class step shades singleton rounds itself; with the singleton
     family {1}, ..., {k}, color_arcs_deterministic is the reference for
-    every class."""
+    every class that takes them, and color_arcs_randomized with the class's
+    seed for any other.  From n = 3 on the largest degree is at least 2, and
+    some class takes singleton rounds."""
     G = random_degenerate_graph(n, d, seed)
     ordering = degeneracy_order(G)
     D, proper = orient_by_ordering(G, ordering), greedy_color(G, ordering)
-
-    def no_fallback(*args):
-        raise AssertionError("every class takes singleton rounds")
-
-    coloring, phase_colors, stats = injective.color_greedy_classes(
-        D, range(n), proper, ("unused", lambda _, k: 2 * k, no_fallback))
+    coloring, phase_colors, stats = injective.color_greedy_classes(D, range(n), proper, seed)
     expected, offset = {}, 0
     for cls in sorted(set(proper.colors.values())):
         X = [v for v in range(n) if proper[v] == cls]
         if not any(D.out_degree(x) for x in X):
             continue
-        hyper, heads = neighborhood_hypergraph(D, X)
-        dense = peel_color_clique_graph(hyper)
-        hcol = VertexColoring({heads[j]: c for j, c in dense.colors.items()})
-        singletons = SeparatingFamily(dense.k, dense.k,
-                                      tuple(frozenset({c}) for c in range(1, dense.k + 1)))
-        part = color_arcs_deterministic(D, X, hcol, singletons)
+        if stats["class_routes"][f"class_{cls}"] == "singletons":
+            hyper, heads = neighborhood_hypergraph(D, X)
+            dense = peel_color_clique_graph(hyper)
+            hcol = VertexColoring({heads[j]: c for j, c in dense.colors.items()})
+            singletons = SeparatingFamily(dense.k, dense.k,
+                                          tuple(frozenset({c}) for c in range(1, dense.k + 1)))
+            part = color_arcs_deterministic(D, X, hcol, singletons)
+        else:
+            part = color_arcs_randomized(D, X, derive_seed(seed, cls))
         assert phase_colors[f"class_{cls}"] == part.k
         expected.update((e, offset + c) for e, c in part.colors.items())
         offset += part.k
     assert coloring == EdgeColoring(expected)
-    assert set(stats["class_routes"].values()) <= {"singletons"}
+    assert "singletons" in stats["class_routes"].values()
+    assert set(stats["class_routes"].values()) <= {"singletons", "randomized"}
 
 
 @pytest.mark.parametrize("h, tails_route", [(32, "singletons"), (48, "randomized")])
@@ -365,9 +367,11 @@ def test_degenerate_pipeline_determinism():
     assert injective_color_degenerate(G, 9) == injective_color_degenerate(G, 9)
 
 
-def test_degenerate_rejects_empty_graph():
-    with pytest.raises(ValueError):
-        injective_color_degenerate(UndirectedGraph(0))
+def test_degenerate_colors_the_empty_graph():
+    report = {}
+    coloring = injective_color_degenerate(UndirectedGraph(0), 1, report)
+    assert coloring == EdgeColoring({}) and coloring.k == 0 and report == {}
+    assert verify_injective(UndirectedGraph(0), coloring)
     assert injective_color_degenerate(UndirectedGraph(3), 0).k == 0
 
 
