@@ -36,7 +36,6 @@ from .separating import (
     verify_separating_family,
 )
 from .hypergraphs import (
-    clique_graph,
     neighborhood_hypergraph,
     peel_color_clique_graph,
 )

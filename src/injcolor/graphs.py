@@ -9,9 +9,12 @@ concurrent tasks.
 from __future__ import annotations
 
 import heapq
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import starmap
-from typing import Callable, Hashable, Iterable, Iterator, Mapping
+from itertools import chain, count, starmap
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .errors import InvalidColoringError
 
@@ -186,7 +189,7 @@ class EdgeColoring:
     """
 
     def __init__(self, colors: Mapping[Edge, int]) -> None:
-        self.colors = {normalize_edge(*e): c for e, c in colors.items()}
+        self.colors = {(u, v) if u <= v else (v, u): c for (u, v), c in colors.items()}
         self.k = len(set(self.colors.values()))
 
     def __getitem__(self, e: Edge) -> int:
@@ -233,56 +236,62 @@ def canonical_color_ids(assign: Mapping[Hashable, Hashable]) -> dict:
     return {key: rank[c] for key, c in assign.items()}
 
 
-def degeneracy_order(G: UndirectedGraph) -> VertexOrdering:
-    """Peel minimum-degree vertices from the back, ties to the smallest id.
-
-    The returned d is the largest degree seen at removal time, which equals
-    the degeneracy of G.  Every vertex has at most d neighbors earlier in
-    the returned order.
-    """
-    n = G.n
-    deg = [G.degree(v) for v in range(n)]
-    # The key (degree, v) packed as degree * n + v, which orders as the pair
-    # does, so no push allocates or compares a tuple.
-    heap = [deg[v] * n + v for v in range(n)]
-    heapq.heapify(heap)
-    removed = [False] * n
+def smallest_last(adj: list[set[int]]) -> tuple[tuple[int, ...], int]:
+    """Matula and Beck's smallest-last order of the graph with adjacency sets adj
+    (peel minimum-degree vertices from the back, ties to the smallest id), and the
+    degeneracy d, the largest degree at removal: no vertex has d + 1 earlier neighbors."""
+    deg = [len(a) for a in adj]  # -1 once removed
+    # Their bucket queue, each bucket a heap of the ids pushed at its degree:
+    # the least current entry of the lowest bucket is the (degree, id) minimum.
+    buckets: list[list[int]] = [[] for _ in range(max(deg, default=0) + 1)]
+    for v, dv in enumerate(deg):
+        buckets[dv].append(v)  # ascending, so already a heap
     back_order: list[int] = []
-    d = 0
-    while heap:
-        dv, v = divmod(heapq.heappop(heap), n)
-        if removed[v] or dv != deg[v]:
+    d = low = 0  # no vertex left has degree below low
+    while len(back_order) < len(adj):
+        if not buckets[low]:
+            low += 1
             continue
-        removed[v] = True
-        if dv > d:
-            d = dv
+        v = heapq.heappop(buckets[low])
+        if deg[v] != low:
+            continue
+        deg[v] = -1
+        d = max(d, low)
         back_order.append(v)
-        for w in G.neighbors(v):
-            if not removed[w]:
+        for w in adj[v]:
+            if deg[w] > 0:
                 deg[w] -= 1
-                heapq.heappush(heap, deg[w] * n + w)
-    return VertexOrdering(tuple(reversed(back_order)), d)
+                heapq.heappush(buckets[deg[w]], w)
+        low = max(low - 1, 0)
+    return tuple(reversed(back_order)), d
+
+
+def first_fit(adj: list[set[int]], order: Sequence[int]) -> dict[int, int]:
+    """Each vertex's least positive color no neighbor has, along order; exactly 1..max."""
+    color = [0] * len(adj)
+    for v in order:
+        used = set(map(color.__getitem__, adj[v]))
+        c = 1
+        while c in used:
+            c += 1
+        color[v] = c
+    return {v: color[v] for v in order}
+
+
+def degeneracy_order(G: UndirectedGraph) -> VertexOrdering:
+    """G's smallest-last order and its degeneracy d (smallest_last)."""
+    return VertexOrdering(*smallest_last(G._adj))
 
 
 def orient_by_ordering(G: UndirectedGraph, ordering: VertexOrdering) -> OrientedGraph:
     """Orient every edge from the later endpoint to the earlier one."""
     pos = ordering.positions()
-    arcs = []
-    for u, v in G.edges():
-        arcs.append((u, v) if pos[u] > pos[v] else (v, u))
-    return OrientedGraph(G.n, arcs)
+    return OrientedGraph(G.n, [(u, v) if pos[u] > pos[v] else (v, u) for u, v in G.edges()])
 
 
 def greedy_color(G: UndirectedGraph, ordering: VertexOrdering) -> VertexColoring:
     """Color vertices along the ordering with the least available positive integer."""
-    colors: dict[int, int] = {}
-    for v in ordering.order:
-        used = {colors[w] for w in G.neighbors(v) if w in colors}
-        c = 1
-        while c in used:
-            c += 1
-        colors[v] = c
-    return VertexColoring(colors)
+    return VertexColoring(first_fit(G._adj, ordering.order))
 
 
 def two_dipath_constraint_graph(D: OrientedGraph) -> UndirectedGraph:
@@ -316,44 +325,60 @@ def edges_conflict(G: UndirectedGraph, e: Edge, f: Edge) -> bool:
 def has_color_conflict(G: UndirectedGraph, colors: Mapping[Edge, int]) -> bool:
     """True when two distinct equal-colored edges of `colors` conflict in G.
 
-    `colors` maps normalized edges of G to colors and may cover only part of
-    E(G).  Two equal-colored edges e and f conflict exactly when a third
-    edge g = xy of G (colored or not) has e at x and f at y, e and f both
-    differing from g.  So the check counts, per vertex, the colored edges of
-    each color at it, and asks of every G-edge g between touched vertices
-    whether a color occurs at both ends once g itself is left out.  That
-    costs O(sum of deg x over touched x, plus sum over such g = xy of
-    min(deg x, deg y)); on a d-degenerate graph the second sum is O(d*m).
+    `colors` maps normalized edges of G, all or part of E(G), to colors; e and f
+    conflict exactly when a third edge g = xy of G (colored or not) has e at x
+    and f at y.  One numpy pass sorts the (vertex, color) incidences, the k
+    colors numbered by first use and packed as vertex * k + color (int32 when
+    n*k allows), then for every G-edge g between colored vertices (uncolored
+    ones, scanned for when `colors` is partial, have no own color) looks up each
+    color of its end with fewer colors at the other end.  A shared color
+    conflicts unless it is g's own and occurs once at x or at y.  O(m log m),
+    m = len(colors), plus O(log m) for each of at most L = sum over g = xy of
+    min(deg x, deg y) lookups, O(d*m) when d-degenerate, in blocks of 8192.
     """
-    at: dict[int, dict[int, int]] = {}
-    for e, c in colors.items():
-        for w in e:
-            count = at.setdefault(w, {})
-            count[c] = count.get(c, 0) + 1
-    for x, at_x in at.items():
-        for y in G.neighbors(x):
-            if y < x or y not in at:
-                continue
-            at_y = at[y]
-            shared = at_x.keys() & at_y.keys()
-            own = colors.get((x, y))
-            if own is not None and (at_x[own] == 1 or at_y[own] == 1):
-                shared.discard(own)  # g is the only edge of its color at x or y
-            if shared:
-                return True
+    m = len(colors)
+    ids = defaultdict(count().__next__)
+    own = np.fromiter(map(ids.__getitem__, colors.values()), np.int64, m)
+    k = len(ids)  # also the own color of an uncolored edge
+    if G.n * (k + 1) >= 1 << 63:
+        raise ValueError(f"{k} colors on {G.n} vertices overflow the int64 keys")
+    key = np.int32 if G.n * (k + 1) < 1 << 31 else np.int64
+    own, ends = own.astype(key), np.fromiter(chain.from_iterable(colors), key, 2 * m).reshape(m, 2)
+    incidences = np.sort((ends * key(k) + own[:, None]).ravel())
+    starts = np.diff(incidences, prepend=-1) != 0  # of each distinct (vertex, color) pair
+    pairs, repeated = incidences[starts], (np.diff(incidences, append=-1) == 0)[starts]
+    del incidences, starts
+    ncol = np.bincount(pairs // key(k), minlength=G.n).astype(key)  # colors at each vertex
+    first = np.cumsum(ncol, dtype=np.int64) - ncol  # index of each vertex's first pair
+    if m < G.m:
+        touched = set(np.flatnonzero(ncol).tolist())
+        uncolored = [(u, v) for u in touched for v in G.neighbors(u)
+                     if u < v and v in touched and (u, v) not in colors]
+        ends = np.concatenate((ends, np.array(uncolored, key).reshape(-1, 2)))
+        own = np.concatenate((own, np.full(len(uncolored), k, key)))
+    width = ncol[ends].min(axis=1)
+    reach = np.cumsum(width, dtype=np.int64)  # end of each edge's lookups
+    lo, last = 0, len(pairs) - 1
+    while lo < len(ends):
+        done = reach[lo] - width[lo]
+        hi = max(lo + 1, int(np.searchsorted(reach, done + 8192, "right")))
+        x, y, size = ends[lo:hi, 0], ends[lo:hi, 1], width[lo:hi]
+        s, t = np.where(ncol[x] <= ncol[y], x, y), np.where(ncol[x] <= ncol[y], y, x)
+        at_s = np.arange(done, reach[hi - 1]) + np.repeat(first[s] - reach[lo:hi] + size, size)
+        pair = pairs[at_s]
+        wanted = pair + np.repeat((t - s) * key(k), size)  # the same color at t
+        at_t = np.minimum(np.searchsorted(pairs, wanted), last)
+        own_pair = np.repeat(s * key(k) + own[lo:hi], size)  # none of s when g is uncolored
+        if ((pairs[at_t] == wanted) & ((pair != own_pair) | repeated[at_s] & repeated[at_t])).any():
+            return True
+        lo = hi
     return False
 
 
 def is_induced_star_forest(G: UndirectedGraph, edge_set: Iterable[Edge]) -> bool:
-    """True when no two edges of the set conflict, i.e. the set is a star
-    forest induced in G.
-
-    The set is checked as one color class of has_color_conflict, which
-    scans the G-edges at the set's vertices, including edges outside the
-    set, in O(|set| + sum of those vertices' degrees) time.
-    """
+    """True when no two edges of the set conflict, i.e. the set is a star forest induced
+    in G: one color class of has_color_conflict, whose scan reads its vertices' degrees."""
     es = {normalize_edge(*e): 0 for e in edge_set}
-    for e in es:
-        if not G.has_edge(*e):
-            raise ValueError(f"{e} is not an edge of the graph")
+    if stray := next((e for e in es if not G.has_edge(*e)), None):
+        raise ValueError(f"{stray} is not an edge of the graph")
     return not has_color_conflict(G, es)

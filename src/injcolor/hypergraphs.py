@@ -6,10 +6,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from itertools import combinations
 from typing import Iterable
 
-from .graphs import OrientedGraph, UndirectedGraph, VertexColoring, degeneracy_order, greedy_color
+from .graphs import OrientedGraph, VertexColoring, first_fit, smallest_last
 
 
 def neighborhood_hypergraph(D: OrientedGraph, X: Iterable[int]
@@ -30,33 +29,33 @@ def neighborhood_hypergraph(D: OrientedGraph, X: Iterable[int]
     return [frozenset(index[v] for v in nb) for nb in neighborhoods], heads
 
 
-def clique_graph(hyperedges: list[frozenset[int]]) -> UndirectedGraph:
-    """Two ids adjacent iff they co-occur in some hyperedge; the vertex count
-    is the largest id plus one."""
-    n = max((max(e) + 1 for e in hyperedges if e), default=0)
-    return UndirectedGraph(n, (p for e in hyperedges for p in combinations(sorted(e), 2)))
-
-
 def peel_color_clique_graph(hyperedges: list[frozenset[int]],
                             genus: int | None = None) -> VertexColoring:
     """Color the clique graph greedily along its min-degree peeling order.
 
     Removing a vertex from every hyperedge induces the clique graph on the
     remaining vertices, so peeling the hyperedges is exactly peeling their
-    clique graph.  When a genus bound g >= 2 for the incidence graph is
-    asserted, peel degrees above 20*r^2*sqrt(g) - 1, r the largest hyperedge,
-    raise a warning; g is caller-asserted, so this is diagnostic, not an error.
-    Without a nonempty hyperedge (r = 0) there is nothing to warn about.
+    clique graph (two ids adjacent iff they share a hyperedge, the largest id
+    plus one vertices), built as adjacency sets in O(sum of |e|^2) time and
+    colored as greedy_color colors its degeneracy_order.  When a genus bound
+    g >= 2 for the incidence graph is asserted, peel degrees above
+    20*r^2*sqrt(g) - 1, r the largest hyperedge, raise a warning; g is
+    caller-asserted, so this is diagnostic, not an error.  Without a
+    nonempty hyperedge (r = 0) there is nothing to warn about.
     """
-    K = clique_graph(hyperedges)
-    ordering = degeneracy_order(K)
+    adj = [set() for _ in range(1 + max(map(max, filter(None, hyperedges)), default=-1))]
+    for e in hyperedges:
+        for v in e:
+            adj[v].update(e)
+            adj[v].discard(v)
+    order, d = smallest_last(adj)
     if genus is not None and genus >= 2:
         r = max(map(len, hyperedges), default=0)
         bound = 20.0 * r * r * math.sqrt(genus)
-        if r and ordering.d > bound - 1:
+        if r and d > bound - 1:
             warnings.warn(
-                f"peel degree {ordering.d} exceeds {bound - 1:.1f}; "
+                f"peel degree {d} exceeds {bound - 1:.1f}; "
                 "the asserted genus bound looks dishonest",
                 stacklevel=2,
             )
-    return greedy_color(K, ordering)
+    return VertexColoring(first_fit(adj, order))

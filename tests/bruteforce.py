@@ -2,12 +2,15 @@
 
 Everything here deliberately avoids the package's own predicates and solvers
 so that package results can be cross-checked against an independent route on
-tiny instances.  Graphs are passed as (n, edge list) or (n, arc list).
+tiny instances.  Graphs are passed as (n, edge list) or (n, arc list), or as
+the package's UndirectedGraph where a reference walks its neighbor sets.
 """
 
 import math
 import random
 from itertools import combinations
+
+from injcolor import UndirectedGraph
 
 
 def _adj(n, edges):
@@ -310,3 +313,79 @@ def full_graph_out_masks_reference(rng, n, part_size):
             else:
                 out[v] |= 1 << u
     return out
+
+
+def first_fit_reference(n, edges, order):
+    """Color along order with the least positive integer no colored neighbor has."""
+    adj = _adj(n, edges)
+    colors = {}
+    for v in order:
+        c = 1
+        while any(colors.get(w) == c for w in adj[v]):
+            c += 1
+        colors[v] = c
+    return colors
+
+
+def clique_graph(hyperedges):
+    """Two ids adjacent iff they co-occur in some hyperedge; the vertex count
+    is the largest id plus one."""
+    n = max((max(e) + 1 for e in hyperedges if e), default=0)
+    return UndirectedGraph(n, (p for e in hyperedges for p in combinations(sorted(e), 2)))
+
+
+def has_color_conflict_reference(G, colors):
+    """The per-vertex dict form of has_color_conflict, its reference: count
+    the colored edges of each color at each vertex, and ask of every
+    G-edge g = xy between touched vertices whether a color occurs at both
+    ends once g itself is left out.  colors maps normalized edges of G, any
+    part of E(G), to colors."""
+    at = {}
+    for e, c in colors.items():
+        for w in e:
+            count = at.setdefault(w, {})
+            count[c] = count.get(c, 0) + 1
+    for x, at_x in at.items():
+        for y in G.neighbors(x):
+            if y < x or y not in at:
+                continue
+            at_y = at[y]
+            shared = at_x.keys() & at_y.keys()
+            own = colors.get((x, y))
+            if own is not None and (at_x[own] == 1 or at_y[own] == 1):
+                shared.discard(own)  # g is the only edge of its color at x or y
+            if shared:
+                return True
+    return False
+
+
+def shade_rounds_reference(n, arcs, round_of):
+    """The (round, shade) form of _shade_rounds, its reference: each round's
+    auxiliary graph on its heads, joining a to w for an arc a -> w between
+    heads and a to the head of a tail x for an arc a -> x, is shaded by first
+    fit along its smallest-last order; the (round, shade) pairs are then
+    numbered 1, 2, ... in sorted order.  Returns the normalized edge -> color map."""
+    out = [set() for _ in range(n)]
+    for u, v in arcs:
+        out[u].add(v)
+    by_round = {}
+    for (x, a), c in round_of.items():
+        by_round.setdefault(c, {})[x] = a
+    colored = {}
+    for c in sorted(by_round):
+        head_of = by_round[c]
+        heads = sorted(set(head_of.values()))
+        index = {a: i for i, a in enumerate(heads)}
+        pairs = set()
+        for a in heads:
+            for w in out[a]:
+                if w in index:
+                    pairs.add(tuple(sorted((index[a], index[w]))))
+                elif w in head_of and head_of[w] != a:
+                    pairs.add(tuple(sorted((index[a], index[head_of[w]]))))
+        order, _ = degeneracy_order_reference(len(heads), sorted(pairs))
+        shades = first_fit_reference(len(heads), sorted(pairs), order)
+        for x, a in head_of.items():
+            colored[tuple(sorted((x, a)))] = (c, shades[index[a]])
+    rank = {pair: i + 1 for i, pair in enumerate(sorted(set(colored.values())))}
+    return {e: rank[pair] for e, pair in colored.items()}

@@ -26,6 +26,7 @@ from injcolor import (
     path,
     random_degenerate_graph,
     random_orientation,
+    subdivide,
 )
 from injcolor.cli import run_command
 from injcolor.dimacs import emit_graph
@@ -181,6 +182,13 @@ def _cases(tmp: Path):
     # At n = 1100 the edge probability is about 0.977 < 1, so rows skip pairs.
     yield "gen-random-genus-lb-sparse", ["gen", "--family", "random-genus-lb", "--n", "1100",
                                          "--seed", "3"], ""
+    # The midpoints' class of a subdivided K48 has too many peel colors for
+    # singleton rounds, so every pipeline colors it by randomized rounds.
+    sub48 = emit_graph(subdivide(complete_graph(48)))
+    yield "inj-degenerate-subdivided-k48", ["inj-degenerate", "--seed", "1"], sub48
+    yield "inj-genus-subdivided-k48", ["inj-genus", "--g", "2"], sub48
+    yield "oriented-genus-subdivided-k48", ["oriented-genus", "--g", "2"], \
+        sub48.replace("p edge", "p arc").replace("\ne ", "\na ")
 
 
 def _digests(tmp: Path) -> dict[str, str]:

@@ -10,18 +10,27 @@ from injcolor import (
     OrientedGraph,
     UndirectedGraph,
     VertexColoring,
+    VertexOrdering,
     canonical_color_ids,
     complete_graph,
     cycle,
     degeneracy_order,
     edges_conflict,
     greedy_color,
+    injective_color_degenerate,
     is_induced_star_forest,
     orient_by_ordering,
     path,
     random_degenerate_graph,
 )
-from .bruteforce import degeneracy_order_reference, exact_degeneracy, min_chromatic
+from injcolor.graphs import first_fit, has_color_conflict, smallest_last
+from .bruteforce import (
+    degeneracy_order_reference,
+    exact_degeneracy,
+    first_fit_reference,
+    has_color_conflict_reference,
+    min_chromatic,
+)
 
 
 @st.composite
@@ -86,7 +95,9 @@ def test_degeneracy_matches_bruteforce(G):
 @example(complete_graph(9))
 def test_degeneracy_order_is_the_definitional_order(G):
     ordering = degeneracy_order(G)
-    assert (ordering.order, ordering.d) == degeneracy_order_reference(G.n, G.edges())
+    reference = degeneracy_order_reference(G.n, G.edges())
+    assert (ordering.order, ordering.d) == reference
+    assert smallest_last([set(G.neighbors(v)) for v in range(G.n)]) == reference
 
 
 def test_degeneracy_order_is_the_definitional_order_on_larger_graphs():
@@ -206,3 +217,121 @@ def test_coloring_types():
     vc = VertexColoring({0: 4, 1: 4, 2: 9})
     assert vc.k == 2 and vc[2] == 9
     assert canonical_color_ids({0: 9, 1: 4, 2: 9}) == {0: 2, 1: 1, 2: 2}
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=25, min_n=0), st.randoms(use_true_random=False))
+def test_first_fit_matches_greedy_color_and_the_definition(G, rng):
+    """Along the degeneracy order and along an arbitrary one; the colors are
+    keyed in order and use exactly 1..max."""
+    shuffled = list(range(G.n))
+    rng.shuffle(shuffled)
+    adj = [set(G.neighbors(v)) for v in range(G.n)]
+    for order in (degeneracy_order(G).order, tuple(shuffled)):
+        colors = first_fit(adj, order)
+        assert colors == greedy_color(G, VertexOrdering(order, 0)).colors
+        assert colors == first_fit_reference(G.n, G.edges(), order)
+        assert list(colors) == list(order)
+        assert set(colors.values()) == set(range(1, max(colors.values(), default=0) + 1))
+
+
+@st.composite
+def partially_colored_graphs(draw, max_n=40):
+    """A graph on n <= max_n vertices of drawn density, and colors 1..k (k <= 4)
+    on a drawn part of its edges."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    p = draw(st.sampled_from((0.05, 0.15, 0.4, 0.8)))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    G = UndirectedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    k = draw(st.integers(min_value=1, max_value=4))
+    keep = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    return G, {e: rng.randint(1, k) for e in G.edges() if rng.random() < keep}
+
+
+@settings(max_examples=300, deadline=None)
+@given(partially_colored_graphs())
+def test_color_conflict_kernel_matches_the_dict_reference_on_partial_colorings(case):
+    G, colors = case
+    assert has_color_conflict(G, colors) == has_color_conflict_reference(G, colors)
+
+
+@settings(max_examples=200, deadline=None)
+@given(partially_colored_graphs())
+def test_is_induced_star_forest_matches_the_dict_reference(case):
+    G, colors = case
+    for c in (1, 2):
+        edge_set = [e for e, color in colors.items() if color == c]
+        assert is_induced_star_forest(G, edge_set) == (
+            not has_color_conflict_reference(G, dict.fromkeys(edge_set, 0)))
+
+
+def test_color_conflict_kernel_fixed_cases():
+    assert not has_color_conflict(UndirectedGraph(0), {})
+    assert not has_color_conflict(UndirectedGraph(5), {})
+    one = UndirectedGraph(2, [(0, 1)])
+    assert not has_color_conflict(one, {}) and not has_color_conflict(one, {(0, 1): 7})
+    K4, P4 = complete_graph(4), path(4)
+    assert has_color_conflict(K4, dict.fromkeys(K4.edges(), 1))
+    assert not has_color_conflict(K4, {e: i for i, e in enumerate(K4.edges(), start=1)})
+    # One class is conflict-free exactly when it is an induced star forest: a
+    # star is, two stars joined by an uncolored edge are not.
+    star = UndirectedGraph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
+    assert not has_color_conflict(star, dict.fromkeys([(0, 1), (0, 2), (0, 3)], 1))
+    assert has_color_conflict(star, dict.fromkeys([(0, 1), (3, 4)], 1))
+    # Colors past int64, which coloring JSON allows, keep their identity.
+    for big in (2**63, 2**64 + 5, 2**70):
+        assert has_color_conflict(P4, {(0, 1): big, (1, 2): 1, (2, 3): big})
+        assert not has_color_conflict(P4, {(0, 1): big, (1, 2): big + 1, (2, 3): 2**63 - 1})
+        assert not has_color_conflict(P4, {(0, 1): big, (1, 2): big, (2, 3): 1})
+
+
+def test_color_conflict_kernel_on_a_rainbow_double_star():
+    """Two hubs joined by an edge, with 9,000 leaves each and every edge its own
+    color: the hub edge alone needs more lookups than one block holds."""
+    leaves = 9000
+    edges = [(0, 1)] + [(h, 2 + 2 * i + h) for i in range(leaves) for h in (0, 1)]
+    G = UndirectedGraph(2 + 2 * leaves, edges)
+    rainbow = {e: i for i, e in enumerate(G.edges())}
+    assert not has_color_conflict(G, rainbow)
+    a, b = (0, 2 * leaves), (1, 2 * leaves + 1)  # the last leaf edge at each hub
+    assert has_color_conflict(G, {**rainbow, a: rainbow[b]})  # joined by the hub edge
+    assert not has_color_conflict(G, {**rainbow, (0, 2): rainbow[(0, 1)]})  # a star at 0
+
+
+def test_color_conflict_kernel_keys_fit_past_int32():
+    """n * k above 2^31 packs the keys in int64.  A planted pair of equal
+    colors on the ends of a path is found, and nothing else is."""
+    pairs = 40000
+    G = UndirectedGraph(2 * pairs + 4, [(2 * i, 2 * i + 1) for i in range(pairs)]
+                        + [(2 * pairs, 2 * pairs + 1), (2 * pairs + 1, 2 * pairs + 2),
+                           (2 * pairs + 2, 2 * pairs + 3)])
+    assert G.n * G.m > 2**31
+    rainbow = {e: i for i, e in enumerate(G.edges())}
+    assert not has_color_conflict(G, rainbow)
+    first, last = (2 * pairs, 2 * pairs + 1), (2 * pairs + 2, 2 * pairs + 3)
+    assert has_color_conflict(G, {**rainbow, last: rainbow[first]})
+
+    class Huge:  # only the sizes are read before the refusal
+        n, m = 2**62, 2
+
+    with pytest.raises(ValueError, match="overflow"):
+        has_color_conflict(Huge(), {(0, 1): 1, (2, 3): 2})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_color_conflict_kernel_finds_a_planted_conflict(seed):
+    """As the degenerate workload plants one: edge e = uv takes the color of an
+    edge f = wx that the edge g = vw joins to it."""
+    G = random_degenerate_graph(2000, 3, seed)
+    colors = injective_color_degenerate(G, seed).colors
+    assert not has_color_conflict(G, colors) and not has_color_conflict_reference(G, colors)
+    rng = random.Random(seed)
+    for _ in range(5):
+        u, v = rng.choice(sorted(colors))
+        w = rng.choice(sorted(G.neighbors(v) - {u}))
+        x = rng.choice(sorted(G.neighbors(w) - {v}))
+        e, f = tuple(sorted((u, v))), tuple(sorted((w, x)))
+        if e == f:
+            continue
+        planted = {**colors, e: colors[f]}
+        assert has_color_conflict(G, planted) and has_color_conflict_reference(G, planted)

@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from injcolor import (
     OrientedGraph,
     UndirectedGraph,
-    clique_graph,
     degeneracy_order,
     exact_chromatic_number,
     greedy_color,
     neighborhood_hypergraph,
     peel_color_clique_graph,
 )
+from .bruteforce import clique_graph
 
 
 def test_neighborhood_hypergraph_examples():

@@ -37,7 +37,12 @@ from injcolor import (
 )
 from injcolor import injective, oracles
 from injcolor.rng import derive_seed
-from .bruteforce import injective_assignment_valid, last_sole_rounds, randomized_rounds
+from .bruteforce import (
+    injective_assignment_valid,
+    last_sole_rounds,
+    randomized_rounds,
+    shade_rounds_reference,
+)
 
 
 def _classes_are_star_forests(G, colors):
@@ -305,16 +310,30 @@ def test_arc_colorers_color_every_greedy_class_injectively(case):
             )
 
 
+@st.composite
+def class_step_graphs(draw):
+    """A random d-degenerate graph (3 <= n <= 80, d <= 4), whose classes all
+    take singleton rounds, or a subdivided K_h with 40 <= h <= 60, whose
+    midpoints' class has 2k > R from h = 44 on and takes randomized rounds;
+    and a seed."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    if draw(st.booleans()):
+        return subdivide(complete_graph(draw(st.integers(min_value=40, max_value=60)))), seed
+    n, d = draw(st.integers(min_value=3, max_value=80)), draw(st.integers(min_value=1, max_value=4))
+    return random_degenerate_graph(n, d, seed), seed
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.integers(min_value=3, max_value=80), st.integers(min_value=1, max_value=4),
-       st.integers(min_value=0, max_value=2**16))
-def test_singleton_rounds_match_the_deterministic_colorer(n, d, seed):
+@given(class_step_graphs())
+@example((subdivide(complete_graph(48)), 1))
+def test_singleton_rounds_match_the_deterministic_colorer(case):
     """The class step shades singleton rounds itself; with the singleton
     family {1}, ..., {k}, color_arcs_deterministic is the reference for
     every class that takes them, and color_arcs_randomized with the class's
     seed for any other.  From n = 3 on the largest degree is at least 2, and
     some class takes singleton rounds."""
-    G = random_degenerate_graph(n, d, seed)
+    G, seed = case
+    n = G.n
     ordering = degeneracy_order(G)
     D, proper = orient_by_ordering(G, ordering), greedy_color(G, ordering)
     coloring, phase_colors, stats = injective.color_greedy_classes(D, range(n), proper, seed)
@@ -338,6 +357,39 @@ def test_singleton_rounds_match_the_deterministic_colorer(n, d, seed):
     assert coloring == EdgeColoring(expected)
     assert "singletons" in stats["class_routes"].values()
     assert set(stats["class_routes"].values()) <= {"singletons", "randomized"}
+
+
+@st.composite
+def round_maps(draw):
+    """An oriented graph on n <= 20 vertices, an independent set X grown
+    greedily along a drawn order, and rounds 1..6 on a drawn part of the
+    arcs leaving X, distinct per tail as the arc colorers give them."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    p = draw(st.sampled_from((0.15, 0.3, 0.6)))
+    D = OrientedGraph(n, [(u, v) if rng.random() < 0.5 else (v, u)
+                          for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+    G, X = D.underlying(), []
+    for v in rng.sample(range(n), n):
+        if not any(G.has_edge(v, x) for x in X):
+            X.append(v)
+    round_of = {}
+    for x in X:
+        heads = sorted(D.out_neighbors(x))
+        for a, r in zip(heads, rng.sample(range(1, 7), min(6, len(heads)))):
+            if rng.random() < 0.8:
+                round_of[x, a] = r
+    return D, round_of
+
+
+@settings(max_examples=300, deadline=None)
+@given(round_maps())
+def test_shade_rounds_matches_the_round_shade_construction(case):
+    """Both routes of the class step and both arc colorers end in _shade_rounds;
+    offset + shade equals the sorted numbering of the (round, shade) pairs."""
+    D, round_of = case
+    colors = injective._shade_rounds(D, round_of).colors
+    assert list(colors.items()) == list(shade_rounds_reference(D.n, D.arcs(), round_of).items())
 
 
 @pytest.mark.parametrize("h, tails_route", [(32, "singletons"), (48, "randomized")])
@@ -464,7 +516,7 @@ def test_verify_injective_agrees_with_direct_definition():
 def colored_graphs(draw):
     """A small graph, an arbitrary (often non-injective) total coloring of
     it, and an arbitrary edge subset."""
-    n = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=2, max_value=9))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
     k = draw(st.integers(min_value=1, max_value=4))
