@@ -24,14 +24,43 @@ class ParseError(ValueError):
 
 
 def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
-    mode = None
+    """The graph in the text, read in one pass: each line is checked and its
+    edge or arc goes straight into the adjacency or out-sets, which the
+    trusted _from_sets builder takes as they are.  Duplicate lines collapse.
+
+    A refusal is a ParseError, in this precedence: the first bad line (its
+    number in .line), then a missing problem line, then the first arc whose
+    reverse came earlier ("digon between u and v", ids from 0), then a
+    distinct-edge count other than the problem line's m.  So a bad line
+    after a digon is the one reported."""
+    mode = tag = digon = None
     n = m = 0
-    items: list[tuple[int, int]] = []
+    sets: list[set[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields or fields[0] == "c":
             continue
-        if fields[0] == "p":
+        head = fields[0]
+        if head == tag:
+            try:  # a wrong field count fails the unpacking first
+                _, u, v = fields
+                u = int(u) - 1
+                v = int(v) - 1
+            except ValueError:
+                raise ParseError("expected two endpoints" if len(fields) != 3
+                                 else "endpoints must be integers", lineno) from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise ParseError(f"endpoint outside 1..{n}", lineno)
+            if u == v:
+                raise ParseError("self-loop", lineno)
+            if tag == "e":
+                sets[u].add(v)
+                sets[v].add(u)
+            elif u in sets[v]:
+                digon = digon or f"digon between {u} and {v}"
+            else:
+                sets[u].add(v)
+        elif head == "p":
             if mode is not None:
                 raise ParseError("duplicate problem line", lineno)
             if len(fields) != 4 or fields[1] not in ("edge", "arc"):
@@ -44,38 +73,22 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
                 raise ParseError("n and m must be nonnegative", lineno)
             if n > MAX_VERTICES:
                 raise ParseError(f"n exceeds the limit {MAX_VERTICES}", lineno)
-            mode = fields[1]
-        elif fields[0] in ("e", "a"):
+            mode, tag = fields[1], fields[1][0]
+            sets = [set() for _ in range(n)]
+        elif head in ("e", "a"):
             if mode is None:
                 raise ParseError("edge before problem line", lineno)
-            expected = "e" if mode == "edge" else "a"
-            if fields[0] != expected:
-                raise ParseError(f"'{fields[0]}' line in {mode} mode", lineno)
-            if len(fields) != 3:
-                raise ParseError("expected two endpoints", lineno)
-            try:
-                u, v = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError("endpoints must be integers", lineno) from None
-            if not (1 <= u <= n and 1 <= v <= n):
-                raise ParseError(f"endpoint outside 1..{n}", lineno)
-            if u == v:
-                raise ParseError("self-loop", lineno)
-            items.append((u - 1, v - 1))
+            raise ParseError(f"'{head}' line in {mode} mode", lineno)
         else:
-            raise ParseError(f"unrecognized line type '{fields[0]}'", lineno)
+            raise ParseError(f"unrecognized line type '{head}'", lineno)
     if mode is None:
         raise ParseError("missing problem line")
-    if mode == "edge":
-        graph: UndirectedGraph | OrientedGraph = UndirectedGraph(n, items)
-    else:
-        try:
-            graph = OrientedGraph(n, items)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from None
-    if graph.m != m:
-        raise ParseError(f"problem line declares {m} edges but {graph.m} distinct ones parsed")
-    return graph
+    if digon:
+        raise ParseError(digon)
+    count = sum(map(len, sets)) // (2 if mode == "edge" else 1)
+    if count != m:
+        raise ParseError(f"problem line declares {m} edges but {count} distinct ones parsed")
+    return (UndirectedGraph if mode == "edge" else OrientedGraph)._from_sets(n, sets, count)
 
 
 def emit_graph(graph: UndirectedGraph | OrientedGraph, header: str = "") -> str:
@@ -124,6 +137,11 @@ def coloring_to_json(coloring: EdgeColoring | VertexColoring) -> str:
 
 
 def coloring_from_obj(obj: dict) -> EdgeColoring | VertexColoring:
+    """The coloring in a parsed coloring JSON, in one loop over its entries.
+    Each entry is checked (a list of the kind's width holding ints >= 1, by
+    type() so that JSON true and false do not pass as 1 and 0) and stored
+    under its key, an edge as (min, max), so the EdgeColoring is built
+    trusted.  A malformed entry anywhere is reported before a repeated one."""
     try:
         kind = obj["kind"]
         assign = obj["assign"]
@@ -131,14 +149,26 @@ def coloring_from_obj(obj: dict) -> EdgeColoring | VertexColoring:
         raise ParseError(f"coloring JSON missing field: {exc}") from None
     if kind not in ("edge", "vertex"):
         raise ParseError(f"unknown coloring kind {kind!r}")
-    width, shape = (3, "[u, v, color]") if kind == "edge" else (2, "[v, color]")
-    # type() and not isinstance(): JSON true and false must not pass as 1 and 0.
-    if not isinstance(assign, list) or not all(
-            isinstance(entry, list) and len(entry) == width for entry in assign) or not all(
-            type(x) is int and x >= 1 for entry in assign for x in entry):
-        raise ParseError(f"{kind} assign entries must be {shape}, integers >= 1")
-    coloring = (EdgeColoring({(u - 1, v - 1): c for u, v, c in assign}) if kind == "edge"
-                else VertexColoring({v - 1: c for v, c in assign}))
-    if len(coloring.colors) < len(assign):  # EdgeColoring keys an edge as (min, max)
+    edges = kind == "edge"
+    width, shape = (3, "[u, v, color]") if edges else (2, "[v, color]")
+    bad = ParseError(f"{kind} assign entries must be {shape}, integers >= 1")
+    if not isinstance(assign, list):
+        raise bad
+    colors: dict = {}
+    for entry in assign:
+        if not isinstance(entry, list) or len(entry) != width:
+            raise bad
+        if edges:
+            u, v, c = entry
+            if not (type(u) is int and type(v) is int and type(c) is int
+                    and u >= 1 and v >= 1 and c >= 1):
+                raise bad
+            colors[(u - 1, v - 1) if u <= v else (v - 1, u - 1)] = c
+        else:
+            v, c = entry
+            if not (type(v) is int and type(c) is int and v >= 1 and c >= 1):
+                raise bad
+            colors[v - 1] = c
+    if len(colors) < len(assign):
         raise ParseError(f"coloring JSON lists the same {kind} twice")
-    return coloring
+    return EdgeColoring._from_normalized(colors) if edges else VertexColoring(colors)

@@ -130,7 +130,7 @@ def injective_color_genus(
     merged = dict(classes.colors)
     merged.update((e, classes.k + i) for i, e in enumerate(inner, start=1))
     phase_colors["v1_fresh"] = len(inner)
-    coloring = EdgeColoring(merged)
+    coloring = EdgeColoring._from_normalized(merged)
     edge_bound = 6 * genus + 36 * genus / log_g
     return coloring, PipelineReport(
         colors_used=coloring.k, v1_size=len(v1), v2_size=len(v2), phase_colors=phase_colors,
@@ -144,11 +144,13 @@ def injective_color_genus(
 def _strip_prefix(D: OrientedGraph, genus: int, rng_seed: int):
     """The front of the oriented pipelines: G = D's underlying graph, its
     checked degeneracy order with the opening stats, V1 = the first 6g
-    vertices of the order, V2 = the rest, and D without the arcs inside V1."""
+    vertices of the order, V2 = the rest, and D without the arcs inside V1,
+    its out-sets filtered from D's and so built trusted."""
     G = D.underlying()
     ordering, stats = _genus_ordering(G, genus, rng_seed)
     v1 = set(ordering.order[: 6 * genus])
-    stripped = OrientedGraph(D.n, [(a, b) for a, b in D.arcs() if a not in v1 or b not in v1])
+    out = [heads - v1 if a in v1 else set(heads) for a, heads in enumerate(D._out)]
+    stripped = OrientedGraph._from_sets(D.n, out, sum(map(len, out)))
     return G, ordering, stats, v1, ordering.order[6 * genus:], stripped
 
 

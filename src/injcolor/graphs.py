@@ -49,6 +49,15 @@ class UndirectedGraph:
                 m += 1
         self.m = m
 
+    @classmethod
+    def _from_sets(cls, n: int, adj: list[set[int]], m: int) -> UndirectedGraph:
+        """Trusted builder: adj and m taken as they are, unchecked.  Only for
+        the parser and derivations from built graphs, whose sets are already
+        symmetric, loop-free and in range, with m edges."""
+        graph = cls.__new__(cls)
+        graph.n, graph._adj, graph.m = n, adj, m
+        return graph
+
     def neighbors(self, v: int) -> set[int]:
         return self._adj[v]
 
@@ -103,6 +112,14 @@ class OrientedGraph:
                 m += 1
         self.m = m
 
+    @classmethod
+    def _from_sets(cls, n: int, out: list[set[int]], m: int) -> OrientedGraph:
+        """Trusted builder, on UndirectedGraph._from_sets's terms: the out-sets
+        are loop- and digon-free and in range, with m arcs."""
+        graph = cls.__new__(cls)
+        graph.n, graph._out, graph._in, graph.m = n, out, None, m
+        return graph
+
     def _rows(self) -> Iterator[list[int]]:
         """Each vertex's out-neighbors in ascending order."""
         return (sorted(heads) for heads in self._out)
@@ -140,7 +157,13 @@ class OrientedGraph:
         return [(u, v) for u in sorted(set(vertices)) for v in sorted(self._out[u])]
 
     def underlying(self) -> UndirectedGraph:
-        return UndirectedGraph(self.n, self.arcs())
+        """Each out-set joined by its reversed arcs, built trusted: being
+        digon-free, the orientation has one arc per edge."""
+        adj = [set(heads) for heads in self._out]
+        for u, heads in enumerate(self._out):
+            for v in heads:
+                adj[v].add(u)
+        return UndirectedGraph._from_sets(self.n, adj, self.m)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OrientedGraph):
@@ -157,9 +180,6 @@ class VertexOrdering:
 
     order: tuple[int, ...]
     d: int
-
-    def positions(self) -> dict[int, int]:
-        return {v: i for i, v in enumerate(self.order)}
 
 
 class VertexColoring:
@@ -191,6 +211,14 @@ class EdgeColoring:
     def __init__(self, colors: Mapping[Edge, int]) -> None:
         self.colors = {(u, v) if u <= v else (v, u): c for (u, v), c in colors.items()}
         self.k = len(set(self.colors.values()))
+
+    @classmethod
+    def _from_normalized(cls, colors: dict[Edge, int]) -> EdgeColoring:
+        """Trusted builder: colors taken as it is.  Only for callers whose keys
+        are already (min, max) pairs, as in the coloring reader and class step."""
+        coloring = cls.__new__(cls)
+        coloring.colors, coloring.k = colors, len(set(colors.values()))
+        return coloring
 
     def __getitem__(self, e: Edge) -> int:
         return self.colors[normalize_edge(*e)]
@@ -284,9 +312,20 @@ def degeneracy_order(G: UndirectedGraph) -> VertexOrdering:
 
 
 def orient_by_ordering(G: UndirectedGraph, ordering: VertexOrdering) -> OrientedGraph:
-    """Orient every edge from the later endpoint to the earlier one."""
-    pos = ordering.positions()
-    return OrientedGraph(G.n, [(u, v) if pos[u] > pos[v] else (v, u) for u, v in G.edges()])
+    """Orient every edge from the later endpoint to the earlier one: each
+    out-set is the neighbors earlier in the order, built trusted.  An order
+    that is not a permutation of the vertices raises ValueError first, since
+    two vertices sharing a position would leave their edge without an arc."""
+    pos = [-1] * G.n
+    for i, v in enumerate(ordering.order):
+        pos[v] = i
+    if len(ordering.order) != G.n or -1 in pos:
+        raise ValueError("ordering is not a permutation of the vertex set")
+    out = []
+    for v, neighbors in enumerate(G._adj):
+        at = pos[v]
+        out.append({w for w in neighbors if pos[w] < at})
+    return OrientedGraph._from_sets(G.n, out, G.m)
 
 
 def greedy_color(G: UndirectedGraph, ordering: VertexOrdering) -> VertexColoring:

@@ -112,9 +112,9 @@ def _shade_rounds(D: OrientedGraph, round_of: dict[Edge, int]) -> EdgeColoring:
                     adj[j].add(i)
         shade = first_fit(adj, smallest_last(adj)[0])
         for x, a in head_of.items():
-            colored[x, a] = offset + shade[index[a]]
+            colored[(x, a) if x < a else (a, x)] = offset + shade[index[a]]
         offset += max(shade.values())
-    return EdgeColoring(colored)
+    return EdgeColoring._from_normalized(colored)
 
 
 def _nominal_rounds(d: int, max_degree: int) -> int:
@@ -342,7 +342,7 @@ def color_greedy_classes(
         phase_colors[key], stats["peel_colors"][key], stats["class_routes"][key] = part.k, k, route
     if len(merged) != sum(D.out_degree(v) for v in vertices):
         raise RuntimeError("internal error: some edge was never assigned a color")
-    return EdgeColoring(merged), phase_colors, stats
+    return EdgeColoring._from_normalized(merged), phase_colors, stats
 
 
 def subdivide(G: UndirectedGraph) -> UndirectedGraph:

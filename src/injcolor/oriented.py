@@ -49,16 +49,23 @@ def oriented_from_injective(D: OrientedGraph, coloring: EdgeColoring) -> VertexC
 
     Given a valid injective edge coloring with k colors, the resulting
     vertex coloring is a valid oriented coloring with at most 4^k colors.
-    The precondition is not checked here: the pipelines check their result
-    in report.checks, and the CLI runs verify_injective on a user's coloring
-    before calling this.
+    One pass over the out-sets reads each arc's color by its (min, max) key
+    and adds it at both ends; no in-sets are built.  The precondition is not
+    checked here (an arc without a color raises KeyError): the pipelines
+    check their result in report.checks, and the CLI runs verify_injective
+    on a user's coloring before calling this.
     """
-    pairs: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-    for v in range(D.n):
-        outgoing = sorted({coloring[(v, w)] for w in D.out_neighbors(v)})
-        incoming = sorted({coloring[(u, v)] for u in D.in_neighbors(v)})
-        pairs[v] = (tuple(outgoing), tuple(incoming))
-    return VertexColoring(canonical_color_ids(pairs))
+    colors = coloring.colors
+    outgoing: list[set[int]] = [set() for _ in range(D.n)]
+    incoming: list[set[int]] = [set() for _ in range(D.n)]
+    for v, heads in enumerate(D._out):
+        at_v = outgoing[v]
+        for w in heads:
+            c = colors[(v, w) if v < w else (w, v)]
+            at_v.add(c)
+            incoming[w].add(c)
+    return VertexColoring(canonical_color_ids(
+        {v: (tuple(sorted(outgoing[v])), tuple(sorted(incoming[v]))) for v in range(D.n)}))
 
 
 def add_unique_colors(D: OrientedGraph, U: Iterable[int], base: VertexColoring) -> VertexColoring:
@@ -342,14 +349,12 @@ def verify_homomorphism(D: OrientedGraph, target, mapping: dict[int, int]) -> bo
 
 def verify_oriented_coloring(D: OrientedGraph, coloring: VertexColoring) -> bool:
     """True iff the coloring is proper and no ordered color pair occurs on
-    arcs in both directions; check_domain refuses any other domain than V(D)."""
+    arcs in both directions; check_domain refuses any other domain than V(D).
+    The colors are then read as a list by id, along the out-sets.  An arc
+    with equal end colors gives a pair that is its own reverse."""
     check_domain(D, coloring)
-    pairs = set()
-    for u, v in D.arcs():
-        a, b = coloring[u], coloring[v]
-        if a == b:
-            return False
-        pairs.add((a, b))
+    color = list(map(coloring.colors.__getitem__, range(D.n)))
+    pairs = {(color[u], color[v]) for u, heads in enumerate(D._out) for v in heads}
     return all((b, a) not in pairs for a, b in pairs)
 
 

@@ -4,13 +4,17 @@ Everything here deliberately avoids the package's own predicates and solvers
 so that package results can be cross-checked against an independent route on
 tiny instances.  Graphs are passed as (n, edge list) or (n, arc list), or as
 the package's UndirectedGraph where a reference walks its neighbor sets.
+The last two walk an OrientedGraph through its public accessors (sorted
+arcs, in-neighbors, the coloring's own lookups), a second route to check the
+package's one-pass walks over the out-sets against.
 """
 
 import math
 import random
 from itertools import combinations
 
-from injcolor import UndirectedGraph
+from injcolor import UndirectedGraph, VertexColoring
+from injcolor.graphs import canonical_color_ids, check_domain
 
 
 def _adj(n, edges):
@@ -389,3 +393,28 @@ def shade_rounds_reference(n, arcs, round_of):
             colored[tuple(sorted((x, a)))] = (c, shades[index[a]])
     rank = {pair: i + 1 for i, pair in enumerate(sorted(set(colored.values())))}
     return {e: rank[pair] for e, pair in colored.items()}
+
+
+def oriented_from_injective_reference(D, coloring):
+    """The pair coloring vertex by vertex: the sorted distinct colors on its
+    out-arcs and on its in-arcs, each read through EdgeColoring's own edge
+    lookup, then canonical ids of the pairs."""
+    pairs = {}
+    for v in range(D.n):
+        outgoing = sorted({coloring[(v, w)] for w in D.out_neighbors(v)})
+        incoming = sorted({coloring[(u, v)] for u in D.in_neighbors(v)})
+        pairs[v] = (tuple(outgoing), tuple(incoming))
+    return VertexColoring(canonical_color_ids(pairs))
+
+
+def verify_oriented_coloring_reference(D, coloring):
+    """The oriented verifier over the sorted arcs: after the domain check, no
+    arc has equal end colors and no ordered color pair occurs with its reverse."""
+    check_domain(D, coloring)
+    pairs = set()
+    for u, v in D.arcs():
+        a, b = coloring[u], coloring[v]
+        if a == b:
+            return False
+        pairs.add((a, b))
+    return all((b, a) not in pairs for a, b in pairs)

@@ -81,7 +81,7 @@ def test_degeneracy_matches_bruteforce(G):
     ordering = degeneracy_order(G)
     assert sorted(ordering.order) == list(range(G.n))
     assert ordering.d == exact_degeneracy(G.n, G.edges())
-    pos = ordering.positions()
+    pos = {v: i for i, v in enumerate(ordering.order)}
     for v in range(G.n):
         back = sum(1 for w in G.neighbors(v) if pos[w] < pos[v])
         assert back <= ordering.d

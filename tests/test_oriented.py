@@ -39,6 +39,8 @@ from .bruteforce import (
     full_graph_out_masks_reference,
     in_masks,
     oriented_assignment_valid,
+    oriented_from_injective_reference,
+    verify_oriented_coloring_reference,
 )
 
 
@@ -479,3 +481,45 @@ def test_verifiers_match_direct_definitions_on_any_orientation(case):
         for verify in (verify_oriented_coloring, verify_2dipath):
             with pytest.raises(InvalidColoringError):
                 verify(D, partial)
+
+
+@st.composite
+def arc_colorings(draw):
+    """An orientation on 0-12 vertices and an edge coloring of it: the
+    injective one inj-degenerate gives, or (most often not injective) 1-3
+    colors drawn per edge."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=30)) if pairs else []
+    D = OrientedGraph(n, [(v, u) if draw(st.booleans()) else (u, v) for u, v in edges])
+    if draw(st.booleans()):
+        return D, injective_color_degenerate(D.underlying(), draw(st.integers(0, 3)))
+    k = draw(st.integers(min_value=1, max_value=3))
+    return D, EdgeColoring({e: draw(st.integers(min_value=1, max_value=k)) for e in edges})
+
+
+@settings(max_examples=300, deadline=None)
+@given(arc_colorings(), st.randoms(use_true_random=False))
+def test_pair_coloring_and_verifier_match_their_earlier_forms(case, rng):
+    D, coloring = case
+    vc = oriented_from_injective(D, coloring)
+    reference = oriented_from_injective_reference(D, coloring)
+    assert (vc.colors, vc.k) == (reference.colors, reference.k)
+    assert verify_oriented_coloring(D, vc) == verify_oriented_coloring_reference(D, vc)
+    shuffled = VertexColoring({v: rng.randint(1, 3) for v in range(D.n)})
+    assert (verify_oriented_coloring(D, shuffled)
+            == verify_oriented_coloring_reference(D, shuffled))
+    if D.m:
+        partial = EdgeColoring(dict(list(coloring.colors.items())[1:]))
+        for pair_coloring in (oriented_from_injective, oriented_from_injective_reference):
+            with pytest.raises(KeyError):
+                pair_coloring(D, partial)
+    # A coloring of a vertex D lacks, and one missing vertex 0: the same refusal.
+    for wrong in ([VertexColoring({**vc.colors, D.n: 1}),
+                   VertexColoring(dict(list(vc.colors.items())[1:]))] if D.n else []):
+        messages = []
+        for verify in (verify_oriented_coloring, verify_oriented_coloring_reference):
+            with pytest.raises(InvalidColoringError) as caught:
+                verify(D, wrong)
+            messages.append(str(caught.value))
+        assert messages[0] == messages[1]
