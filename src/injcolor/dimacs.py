@@ -30,9 +30,9 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
 
     A refusal is a ParseError, in this precedence: the first bad line (its
     number in .line), then a missing problem line, then the first arc whose
-    reverse came earlier ("digon between u and v", ids from 0), then a
-    distinct-edge count other than the problem line's m.  So a bad line
-    after a digon is the one reported."""
+    reverse came earlier ("digon between u and v" in file ids, its number in
+    .line), then a distinct-edge count other than the problem line's m.  So
+    a bad line after a digon is the one reported."""
     mode = tag = digon = None
     n = m = 0
     sets: list[set[int]] = []
@@ -57,7 +57,7 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
                 sets[u].add(v)
                 sets[v].add(u)
             elif u in sets[v]:
-                digon = digon or f"digon between {u} and {v}"
+                digon = digon or ParseError(f"digon between {u + 1} and {v + 1}", lineno)
             else:
                 sets[u].add(v)
         elif head == "p":
@@ -84,7 +84,7 @@ def parse_graph(text: str) -> UndirectedGraph | OrientedGraph:
     if mode is None:
         raise ParseError("missing problem line")
     if digon:
-        raise ParseError(digon)
+        raise digon
     count = sum(map(len, sets)) // (2 if mode == "edge" else 1)
     if count != m:
         raise ParseError(f"problem line declares {m} edges but {count} distinct ones parsed")

@@ -97,7 +97,7 @@ class _DrawnOrientedGraph(OrientedGraph):
     head) order, which the caller guarantees distinct, loop- and digon-free."""
 
     def __init__(self, n: int, tails: np.ndarray, heads: np.ndarray) -> None:
-        self.n, self.m, self._in = n, len(heads), None
+        self.n, self.m = n, len(heads)
         self._arcs = (tails, heads)
 
     def _rows(self) -> Iterator[list[int]]:

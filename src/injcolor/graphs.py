@@ -1,15 +1,15 @@
 """Core graph types and primitives.
 
 Vertices are dense ids ``0..n-1``; input labels are remapped at the parser
-layer.  All types here are immutable once constructed and every operation is
-a pure function of its inputs, so values can be shared freely across
-concurrent tasks.
+layer.  All types here are immutable once constructed (a graph keeps no
+state built on first use) and every operation is a pure function of its
+inputs, so values can be shared freely across concurrent tasks.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import chain, count, starmap
 from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
@@ -87,10 +87,11 @@ class UndirectedGraph:
 class OrientedGraph:
     """Digon-free orientation: no loops, at most one arc per vertex pair.
 
-    The out-sets ``_out`` are a plain instance attribute.  The class itself
-    defines no ``_out``, so CPython specializes ``self._out`` in the hot
-    methods below; the drawn lower-bound graph (``generators``) is a
-    subclass that builds its out-sets on first read.
+    It holds n, m and the out-sets ``_out`` only: a vertex's in-neighbors are
+    its underlying() neighbors minus its out-set.  The class itself defines no
+    ``_out``, so CPython specializes ``self._out`` in the hot methods below;
+    the drawn lower-bound graph (``generators``) is a subclass that builds
+    its out-sets on first read.
     """
 
     def __init__(self, n: int, arcs: Iterable[Edge] = ()) -> None:
@@ -98,7 +99,6 @@ class OrientedGraph:
             raise ValueError("vertex count must be nonnegative")
         self.n = n
         self._out: list[set[int]] = [set() for _ in range(n)]
-        self._in: list[set[int]] | None = None  # built on first use
         m = 0
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
@@ -117,27 +117,15 @@ class OrientedGraph:
         """Trusted builder, on UndirectedGraph._from_sets's terms: the out-sets
         are loop- and digon-free and in range, with m arcs."""
         graph = cls.__new__(cls)
-        graph.n, graph._out, graph._in, graph.m = n, out, None, m
+        graph.n, graph._out, graph.m = n, out, m
         return graph
 
     def _rows(self) -> Iterator[list[int]]:
         """Each vertex's out-neighbors in ascending order."""
         return (sorted(heads) for heads in self._out)
 
-    def _in_sets(self) -> list[set[int]]:
-        if self._in is None:
-            rev: list[set[int]] = [set() for _ in range(self.n)]
-            for u, heads in enumerate(self._out):
-                for v in heads:
-                    rev[v].add(u)
-            self._in = rev
-        return self._in
-
     def out_neighbors(self, v: int) -> set[int]:
         return self._out[v]
-
-    def in_neighbors(self, v: int) -> set[int]:
-        return self._in_sets()[v]
 
     def out_degree(self, v: int) -> int:
         return len(self._out[v])
@@ -334,12 +322,15 @@ def greedy_color(G: UndirectedGraph, ordering: VertexOrdering) -> VertexColoring
 
 
 def two_dipath_constraint_graph(D: OrientedGraph) -> UndirectedGraph:
-    """Vertices joined by an arc or by a directed path of length 2."""
-    pairs = D.arcs()
-    for w in range(D.n):
-        for u in D.in_neighbors(w):
-            pairs.extend((u, v) for v in D.out_neighbors(w) if u != v)
-    return UndirectedGraph(D.n, pairs)
+    """Vertices joined by an arc or by a directed path u -> w -> v, added both
+    ways to a fresh D.underlying()'s sets (u != v, since D is digon-free)."""
+    adj, out = D.underlying()._adj, D._out
+    for u, mids in enumerate(out):
+        for w in mids:
+            adj[u].update(out[w])
+            for v in out[w]:
+                adj[v].add(u)
+    return UndirectedGraph._from_sets(D.n, adj, sum(map(len, adj)) // 2)
 
 
 def edges_conflict(G: UndirectedGraph, e: Edge, f: Edge) -> bool:
@@ -362,26 +353,26 @@ def edges_conflict(G: UndirectedGraph, e: Edge, f: Edge) -> bool:
 
 
 def has_color_conflict(G: UndirectedGraph, colors: Mapping[Edge, int]) -> bool:
-    """True when two distinct equal-colored edges of `colors` conflict in G.
+    """True when two distinct equal-colored edges of a total coloring conflict in G.
 
-    `colors` maps normalized edges of G, all or part of E(G), to colors; e and f
-    conflict exactly when a third edge g = xy of G (colored or not) has e at x
-    and f at y.  One numpy pass sorts the (vertex, color) incidences, the k
-    colors numbered by first use and packed as vertex * k + color (int32 when
-    n*k allows), then for every G-edge g between colored vertices (uncolored
-    ones, scanned for when `colors` is partial, have no own color) looks up each
-    color of its end with fewer colors at the other end.  A shared color
-    conflicts unless it is g's own and occurs once at x or at y.  O(m log m),
-    m = len(colors), plus O(log m) for each of at most L = sum over g = xy of
-    min(deg x, deg y) lookups, O(d*m) when d-degenerate, in blocks of 8192.
+    `colors` must map every normalized edge of G, and only those, to a color
+    (verify_injective checks that domain first); e and f conflict exactly
+    when a third edge g = xy has e at x and f at y.  One numpy pass sorts the
+    (vertex, color) incidences, the k colors numbered by first use and packed
+    as vertex * k + color (int32 when n*k allows), then for every edge g looks
+    up each color of its end with fewer colors at the other end.  A shared
+    color conflicts unless it is g's own and occurs once at x or at y.
+    O(m log m), m = len(colors), plus O(log m) for each of at most L = sum
+    over g = xy of min(deg x, deg y) lookups, O(d*m) when d-degenerate, in
+    blocks of 8192.
     """
     m = len(colors)
     ids = defaultdict(count().__next__)
     own = np.fromiter(map(ids.__getitem__, colors.values()), np.int64, m)
-    k = len(ids)  # also the own color of an uncolored edge
-    if G.n * (k + 1) >= 1 << 63:
+    k = len(ids)
+    if G.n * k >= 1 << 63:
         raise ValueError(f"{k} colors on {G.n} vertices overflow the int64 keys")
-    key = np.int32 if G.n * (k + 1) < 1 << 31 else np.int64
+    key = np.int32 if G.n * k < 1 << 31 else np.int64
     own, ends = own.astype(key), np.fromiter(chain.from_iterable(colors), key, 2 * m).reshape(m, 2)
     incidences = np.sort((ends * key(k) + own[:, None]).ravel())
     starts = np.diff(incidences, prepend=-1) != 0  # of each distinct (vertex, color) pair
@@ -389,16 +380,10 @@ def has_color_conflict(G: UndirectedGraph, colors: Mapping[Edge, int]) -> bool:
     del incidences, starts
     ncol = np.bincount(pairs // key(k), minlength=G.n).astype(key)  # colors at each vertex
     first = np.cumsum(ncol, dtype=np.int64) - ncol  # index of each vertex's first pair
-    if m < G.m:
-        touched = set(np.flatnonzero(ncol).tolist())
-        uncolored = [(u, v) for u in touched for v in G.neighbors(u)
-                     if u < v and v in touched and (u, v) not in colors]
-        ends = np.concatenate((ends, np.array(uncolored, key).reshape(-1, 2)))
-        own = np.concatenate((own, np.full(len(uncolored), k, key)))
     width = ncol[ends].min(axis=1)
     reach = np.cumsum(width, dtype=np.int64)  # end of each edge's lookups
     lo, last = 0, len(pairs) - 1
-    while lo < len(ends):
+    while lo < m:
         done = reach[lo] - width[lo]
         hi = max(lo + 1, int(np.searchsorted(reach, done + 8192, "right")))
         x, y, size = ends[lo:hi, 0], ends[lo:hi, 1], width[lo:hi]
@@ -407,7 +392,7 @@ def has_color_conflict(G: UndirectedGraph, colors: Mapping[Edge, int]) -> bool:
         pair = pairs[at_s]
         wanted = pair + np.repeat((t - s) * key(k), size)  # the same color at t
         at_t = np.minimum(np.searchsorted(pairs, wanted), last)
-        own_pair = np.repeat(s * key(k) + own[lo:hi], size)  # none of s when g is uncolored
+        own_pair = np.repeat(s * key(k) + own[lo:hi], size)
         if ((pairs[at_t] == wanted) & ((pair != own_pair) | repeated[at_s] & repeated[at_t])).any():
             return True
         lo = hi
@@ -415,9 +400,12 @@ def has_color_conflict(G: UndirectedGraph, colors: Mapping[Edge, int]) -> bool:
 
 
 def is_induced_star_forest(G: UndirectedGraph, edge_set: Iterable[Edge]) -> bool:
-    """True when no two edges of the set conflict, i.e. the set is a star forest induced
-    in G: one color class of has_color_conflict, whose scan reads its vertices' degrees."""
-    es = {normalize_edge(*e): 0 for e in edge_set}
+    """True when no two edges of the set S conflict, i.e. S is a star forest
+    induced in G: no edge g = xy of G has deg_S(x) > [g in S] and
+    deg_S(y) > [g in S], deg_S counting S's edges at a vertex.  O(m)."""
+    es = dict.fromkeys(normalize_edge(*e) for e in edge_set)
     if stray := next((e for e in es if not G.has_edge(*e)), None):
         raise ValueError(f"{stray} is not an edge of the graph")
-    return not has_color_conflict(G, es)
+    deg = Counter(chain.from_iterable(es))
+    return not any(deg[x] > (own := (x, y) in es) and deg[y] > own
+                   for x in deg for y in G._adj[x] if x < y)

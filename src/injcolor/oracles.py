@@ -267,8 +267,7 @@ def exact_injective_coloring(G: UndirectedGraph, budget: OracleBudget = DEFAULT_
 def _two_dipath_adjacency(D: OrientedGraph, budget: OracleBudget) -> list[set[int]]:
     if D.n > budget.max_vertices:
         raise BudgetExceededError(f"{D.n} vertices exceed budget {budget.max_vertices}")
-    constraints = two_dipath_constraint_graph(D)
-    return [constraints.neighbors(v) for v in range(D.n)]
+    return two_dipath_constraint_graph(D)._adj
 
 
 def exact_2dipath_number(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUDGET) -> int:
@@ -297,8 +296,11 @@ def exact_oriented_coloring(D: OrientedGraph, budget: OracleBudget = DEFAULT_BUD
     k = len(set(_solve_chromatic(D.n, adj, deadline).values()))
     everything = list(range(D.n))
     clique = _greedy_clique(everything, adj)
-    arcs = [[(u, True) for u in D.out_neighbors(v)] + [(u, False) for u in D.in_neighbors(v)]
-            for v in everything]
+    arcs: list[list[tuple[int, bool]]] = [[] for _ in everything]
+    for v, heads in enumerate(D._out):
+        for u in heads:
+            arcs[v].append((u, True))
+            arcs[u].append((v, False))
     while (colors := _k_colorable(everything, adj, k, clique, deadline, arcs)) is None:
         k += 1
     return VertexColoring(colors)

@@ -292,9 +292,10 @@ def homomorphism_to_full(
     the ordering a permutation of D's vertices witnessing degeneracy at
     most H.d.  Vertices are embedded along the ordering; each one goes to
     the smallest-id vertex of its psi-part whose arc directions toward its
-    earlier neighbors, those already placed in the mapping, match.  Fullness
-    of H guarantees such a witness exists.  That psi is a 2-dipath coloring
-    is not checked here (only its domain, color range and the ordering are);
+    earlier neighbors, those already placed in the mapping, match; a placed
+    vertex joins its out-neighbors' lists of placed tails.  Fullness of H
+    guarantees such a witness exists.  That psi is a 2-dipath coloring is
+    not checked here (only its domain, color range and the ordering are);
     the pipeline verifies the final coloring in report.checks.
     """
     check_domain(D, psi)
@@ -307,10 +308,11 @@ def homomorphism_to_full(
             f"ordering witnesses degeneracy {ordering.d} above the target's order {H.d}"
         )
     mapping: dict[int, int] = {}
+    tails: list[list[int]] = [[] for _ in range(D.n)]  # placed in-neighbors
     for v in ordering.order:
         # (u, +1) for each placed out-neighbor u, (u, -1) for each placed in-neighbor.
-        placed = sorted([(u, 1) for u in D.out_neighbors(v) if u in mapping]
-                        + [(u, -1) for u in D.in_neighbors(v) if u in mapping])
+        placed = sorted([(u, 1) for u in D._out[v] if u in mapping]
+                        + [(u, -1) for u in tails[v]])
         constraints: dict[int, int] = {}
         for u, sign in placed:
             image = mapping[u]
@@ -329,6 +331,8 @@ def homomorphism_to_full(
                 "or a precondition was violated"
             )
         mapping[v] = witness
+        for w in D._out[v]:
+            tails[w].append(v)
     return mapping
 
 
@@ -361,4 +365,6 @@ def verify_oriented_coloring(D: OrientedGraph, coloring: VertexColoring) -> bool
 def verify_2dipath(D: OrientedGraph, coloring: VertexColoring) -> bool:
     """True iff the ends of every arc and directed 2-path differ; the domain must be V(D)."""
     check_domain(D, coloring)
-    return all(coloring[u] != coloring[v] for u, v in two_dipath_constraint_graph(D).edges())
+    color = coloring.colors
+    return all(color[u] != color[v] for u, adj in enumerate(two_dipath_constraint_graph(D)._adj)
+               for v in adj)

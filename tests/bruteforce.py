@@ -190,6 +190,17 @@ def dipath2_assignment_valid(n, arcs, colors):
     return True
 
 
+def two_dipath_pairs(n, arcs):
+    """The 2-dipath constraint graph's edges by definition, from a scan over
+    all triples: each pair u < v joined by an arc either way, or by a
+    directed path u -> w -> v or v -> w -> u; sorted."""
+    arc = set(arcs)
+    return [(u, v) for u in range(n) for v in range(u + 1, n)
+            if (u, v) in arc or (v, u) in arc
+            or any((u, w) in arc and (w, v) in arc or (v, w) in arc and (w, u) in arc
+                   for w in range(n))]
+
+
 def min_2dipath(n, arcs):
     if n == 0:
         return 0
@@ -397,12 +408,13 @@ def shade_rounds_reference(n, arcs, round_of):
 
 def oriented_from_injective_reference(D, coloring):
     """The pair coloring vertex by vertex: the sorted distinct colors on its
-    out-arcs and on its in-arcs, each read through EdgeColoring's own edge
-    lookup, then canonical ids of the pairs."""
+    out-arcs and on its in-arcs, the in-arcs read from D.arcs(), each color
+    read through EdgeColoring's own edge lookup, then canonical ids of the pairs."""
     pairs = {}
+    arcs = D.arcs()
     for v in range(D.n):
         outgoing = sorted({coloring[(v, w)] for w in D.out_neighbors(v)})
-        incoming = sorted({coloring[(u, v)] for u in D.in_neighbors(v)})
+        incoming = sorted({coloring[(u, w)] for u, w in arcs if w == v})
         pairs[v] = (tuple(outgoing), tuple(incoming))
     return VertexColoring(canonical_color_ids(pairs))
 

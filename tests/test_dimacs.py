@@ -1,6 +1,8 @@
 """The readers' refusals, pinned message by message, and the one-pass parser
 and trusted graph builders checked against the validating constructors."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,13 +37,13 @@ GRAPH_REFUSALS = [
     ("p arc 3 1\na 4 1\n", "line 2: endpoint outside 1..3", 2),
     ("p edge 2 1\ne 2 2\n", "line 2: self-loop", 2),
     ("p arc 2 1\n\na 1 1\n", "line 3: self-loop", 3),
-    # A digon names the later arc in ids from 0, and no line.
-    ("p arc 3 2\na 1 2\na 2 1\n", "digon between 1 and 0", None),
-    ("p arc 4 3\na 3 4\na 1 2\na 4 3\na 2 1\n", "digon between 3 and 2", None),
+    # A digon names the later arc in file ids, with its line.
+    ("p arc 3 2\na 1 2\na 2 1\n", "line 3: digon between 2 and 1", 3),
+    ("p arc 4 3\na 3 4\na 1 2\na 4 3\na 2 1\n", "line 4: digon between 4 and 3", 4),
     # Every line is checked before a digon or the count is reported.
     ("p arc 3 3\na 1 2\na 2 1\na 1 x\n", "line 4: endpoints must be integers", 4),
     ("p arc 3 3\na 1 2\na 2 1\na 3 3\n", "line 4: self-loop", 4),
-    ("p arc 3 9\na 1 2\na 2 1\n", "digon between 1 and 0", None),
+    ("p arc 3 9\na 1 2\na 2 1\n", "line 3: digon between 2 and 1", 3),
     ("p edge 3 3\ne 1 2\ne 2 1\ne 2 3\n",
      "problem line declares 3 edges but 2 distinct ones parsed", None),
     ("p arc 3 3\na 1 2\na 1 2\na 2 3\n",
@@ -146,7 +148,7 @@ def test_parse_graph_matches_the_validating_constructor_on_arcs(case):
     n, items, text = case
     D, reference = parse_graph(text), OrientedGraph(n, items)
     assert type(D) is OrientedGraph
-    assert (D, D.n, D.m, D._in) == (reference, reference.n, reference.m, None)
+    assert (D, D.n, D.m) == (reference, reference.n, reference.m)
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,15 +157,20 @@ def test_parse_graph_matches_the_validating_constructor_on_arcs(case):
         lambda a: a[0] != a[1]), max_size=12))))
 def test_parse_graph_reports_the_constructors_digon(case):
     """With digons allowed, the parser refuses exactly what OrientedGraph
-    refuses, with its message, and otherwise builds the same graph."""
+    refuses, with its message in file ids and the line of the arc it names,
+    and otherwise builds the same graph."""
     n, arcs = case
     text = f"p arc {n} {len(set(arcs))}\n" + "".join(f"a {u + 1} {v + 1}\n" for u, v in arcs)
     try:
         reference = OrientedGraph(n, arcs)
     except ValueError as exc:
+        u, v = map(int, re.fullmatch(r"digon between (\d+) and (\d+)", str(exc)).groups())
+        line = 2 + next(i for i, (a, b) in enumerate(arcs) if (b, a) in arcs[:i])
+        assert arcs[line - 2] == (u, v)
         with pytest.raises(ParseError) as caught:
             parse_graph(text)
-        assert (str(caught.value), caught.value.line) == (str(exc), None)
+        assert (str(caught.value), caught.value.line) == (
+            f"line {line}: digon between {u + 1} and {v + 1}", line)
     else:
         D = parse_graph(text)
         assert (D, D.m) == (reference, reference.m)

@@ -72,7 +72,11 @@ def test_array_drawn_graph_matches_the_same_arcs_built_from_sets(n, seed):
     assert text == emit_graph(E)
     assert D.arcs() == E.arcs() and D.m == E.m
     assert D == E
-    assert all(D.in_neighbors(v) == E.in_neighbors(v) for v in range(n))
+    tails = [set() for _ in range(n)]
+    for u, v in E.arcs():
+        tails[v].add(u)
+    U = D.underlying()  # a vertex's in-neighbors are its neighbors outside its out-set
+    assert all(U.neighbors(v) - D.out_neighbors(v) == tails[v] for v in range(n))
     probes = D.arcs() + [(v, u) for u, v in D.arcs()] + [(u, u) for u in range(n)]
     assert all(D.has_arc(u, v) == E.has_arc(u, v) for u, v in probes)
     assert D.max_out_degree == E.max_out_degree

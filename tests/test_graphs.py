@@ -22,6 +22,8 @@ from injcolor import (
     orient_by_ordering,
     path,
     random_degenerate_graph,
+    random_genus_lowerbound,
+    two_dipath_constraint_graph,
 )
 from injcolor.graphs import first_fit, has_color_conflict, smallest_last
 from .bruteforce import (
@@ -30,6 +32,7 @@ from .bruteforce import (
     first_fit_reference,
     has_color_conflict_reference,
     min_chromatic,
+    two_dipath_pairs,
 )
 
 
@@ -55,12 +58,30 @@ def test_oriented_invariants():
     D = OrientedGraph(3, [(0, 1), (1, 2)])
     assert D.m == 2
     assert D.out_neighbors(0) == {1}
-    assert D.in_neighbors(1) == {0}
+    assert [u for u, v in D.arcs() if v == 1] == [0]
     assert D.max_out_degree == 1
     with pytest.raises(ValueError):
         OrientedGraph(2, [(0, 1), (1, 0)])
     with pytest.raises(ValueError):
         OrientedGraph(2, [(1, 1)])
+
+
+def _matches_the_triple_scan(D):
+    C, expected = two_dipath_constraint_graph(D), two_dipath_pairs(D.n, D.arcs())
+    assert (C, C.m) == (UndirectedGraph(D.n, expected), len(expected))
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=10, min_n=0), st.randoms(use_true_random=False))
+def test_two_dipath_constraint_graph_matches_the_triple_scan(G, rng):
+    _matches_the_triple_scan(
+        OrientedGraph(G.n, [(u, v) if rng.random() < 0.5 else (v, u) for u, v in G.edges()]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=0, max_value=2**16))
+def test_two_dipath_constraint_graph_matches_the_triple_scan_on_drawn_graphs(seed):
+    _matches_the_triple_scan(random_genus_lowerbound(40, seed))
 
 
 def test_arcs_out_of():
@@ -236,48 +257,63 @@ def test_first_fit_matches_greedy_color_and_the_definition(G, rng):
 
 
 @st.composite
-def partially_colored_graphs(draw, max_n=40):
+def partially_colored_graphs(draw, max_n=40, keeps=(0.0, 0.3, 0.7, 1.0)):
     """A graph on n <= max_n vertices of drawn density, and colors 1..k (k <= 4)
-    on a drawn part of its edges."""
+    on a drawn part of its edges: each edge is kept with a probability drawn
+    from keeps."""
     n = draw(st.integers(min_value=0, max_value=max_n))
     p = draw(st.sampled_from((0.05, 0.15, 0.4, 0.8)))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
     G = UndirectedGraph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
     k = draw(st.integers(min_value=1, max_value=4))
-    keep = draw(st.sampled_from((0.0, 0.3, 0.7, 1.0)))
+    keep = draw(st.sampled_from(keeps))
     return G, {e: rng.randint(1, k) for e in G.edges() if rng.random() < keep}
 
 
 @settings(max_examples=300, deadline=None)
-@given(partially_colored_graphs())
+@given(partially_colored_graphs(keeps=(1.0,)))
 def test_color_conflict_kernel_matches_the_dict_reference_on_partial_colorings(case):
+    """The kernel takes total colorings only, so every edge is kept."""
     G, colors = case
     assert has_color_conflict(G, colors) == has_color_conflict_reference(G, colors)
 
 
 @settings(max_examples=200, deadline=None)
 @given(partially_colored_graphs())
+@example((path(4), dict.fromkeys(path(4).edges(), 1)))  # P4 with its middle edge in S
+@example((path(4), {(0, 1): 1, (2, 3): 1, (1, 2): 2}))  # and without it
+@example((complete_graph(3), {(0, 1): 1, (0, 2): 1, (1, 2): 2}))
+@example((UndirectedGraph(4, [(0, 1), (0, 2), (0, 3), (1, 2)]),  # a star whose leaves are joined
+          {(0, 1): 1, (0, 2): 1, (0, 3): 1}))
+@example((path(4), {}))  # the empty set
 def test_is_induced_star_forest_matches_the_dict_reference(case):
+    """Each color class of a partial coloring, against the reference; the
+    class with a non-edge added is refused."""
     G, colors = case
     for c in (1, 2):
         edge_set = [e for e, color in colors.items() if color == c]
         assert is_induced_star_forest(G, edge_set) == (
             not has_color_conflict_reference(G, dict.fromkeys(edge_set, 0)))
+        stray = next(((u, v) for u in range(G.n) for v in range(u + 1, G.n)
+                      if not G.has_edge(u, v)), None)
+        if stray is not None:
+            with pytest.raises(ValueError, match="is not an edge"):
+                is_induced_star_forest(G, [*edge_set, stray[::-1]])
 
 
 def test_color_conflict_kernel_fixed_cases():
     assert not has_color_conflict(UndirectedGraph(0), {})
     assert not has_color_conflict(UndirectedGraph(5), {})
     one = UndirectedGraph(2, [(0, 1)])
-    assert not has_color_conflict(one, {}) and not has_color_conflict(one, {(0, 1): 7})
+    assert not has_color_conflict(one, {(0, 1): 7})
     K4, P4 = complete_graph(4), path(4)
     assert has_color_conflict(K4, dict.fromkeys(K4.edges(), 1))
     assert not has_color_conflict(K4, {e: i for i, e in enumerate(K4.edges(), start=1)})
     # One class is conflict-free exactly when it is an induced star forest: a
-    # star is, two stars joined by an uncolored edge are not.
+    # star is, two stars joined by an edge of another color are not.
     star = UndirectedGraph(5, [(0, 1), (0, 2), (0, 3), (3, 4)])
-    assert not has_color_conflict(star, dict.fromkeys([(0, 1), (0, 2), (0, 3)], 1))
-    assert has_color_conflict(star, dict.fromkeys([(0, 1), (3, 4)], 1))
+    assert not has_color_conflict(star, {(0, 1): 1, (0, 2): 1, (0, 3): 1, (3, 4): 2})
+    assert has_color_conflict(star, {(0, 1): 1, (3, 4): 1, (0, 2): 2, (0, 3): 3})
     # Colors past int64, which coloring JSON allows, keep their identity.
     for big in (2**63, 2**64 + 5, 2**70):
         assert has_color_conflict(P4, {(0, 1): big, (1, 2): 1, (2, 3): big})

@@ -20,6 +20,7 @@ from injcolor import (
     coloring_from_homomorphism,
     degeneracy_order,
     exact_2dipath_number,
+    exact_oriented_coloring,
     full_part_size,
     greedy_2dipath,
     homomorphism_to_full,
@@ -326,6 +327,20 @@ def test_homomorphism_reads_arc_directions_without_the_underlying_graph(monkeypa
     monkeypatch.setattr(OrientedGraph, "underlying", unused)
     h = homomorphism_to_full(D, degeneracy_order(G), psi, H)
     assert verify_homomorphism(D, H, h)
+
+
+def test_oriented_graphs_keep_no_lazy_state():
+    """An oriented graph holds n, m and its out-sets, and no read adds to them."""
+    G = random_degenerate_graph(12, 2, 3)
+    D = random_orientation(G, 4)
+    D.arcs()
+    D.underlying()
+    psi = greedy_2dipath(D)
+    assert verify_2dipath(D, psi)
+    H = build_full_graph(max(5, psi.k), 2, 1)
+    assert verify_homomorphism(D, H, homomorphism_to_full(D, degeneracy_order(G), psi, H))
+    assert verify_oriented_coloring(D, exact_oriented_coloring(D))
+    assert vars(D).keys() == {"n", "m", "_out"}
 
 
 def test_homomorphism_rejects_bad_inputs():
